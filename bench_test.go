@@ -286,8 +286,7 @@ func BenchmarkMicroModelMarshal(b *testing.B) {
 }
 
 // benchPredictQuery runs the Listing-2 prediction query with the
-// given predict function name (the cached variant is the paper's §5.1
-// future work implemented).
+// given predict function name.
 func benchPredictQuery(b *testing.B, fn string) {
 	env := getEnv(b)
 	db := env.DB
@@ -316,7 +315,3 @@ func benchPredictQuery(b *testing.B, fn string) {
 // BenchmarkMicroPredictUDF measures the steady-state cost of the
 // paper's Listing 2 (model deserialized on every UDF invocation).
 func BenchmarkMicroPredictUDF(b *testing.B) { benchPredictQuery(b, "predict") }
-
-// BenchmarkMicroPredictUDFCached is the §5.1 extension: the model's
-// in-memory snapshot is reused across invocations.
-func BenchmarkMicroPredictUDFCached(b *testing.B) { benchPredictQuery(b, "predict_cached") }

@@ -264,6 +264,39 @@ func TestDivisionByZeroIsNull(t *testing.T) {
 	}
 }
 
+// A DOUBLE divisor that truncates to zero (0 < |c| < 1, or 0.0)
+// makes modulo NULL at every worker count; it once panicked a morsel
+// worker with an integer divide-by-zero and killed the process.
+func TestFloatModuloByFractionIsNull(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE fm (a DOUBLE, c DOUBLE)")
+	divisors := []float64{0.5, -0.5, 0, 3, 0.99}
+	const rows = 3*2048 + 11 // several segments, so workers really fan out
+	batchInsert(t, db, "fm", rows, func(i int) string {
+		return fmt.Sprintf("(%d.0, %g)", i, divisors[i%len(divisors)])
+	})
+	for _, workers := range []int{1, 2} {
+		db.Parallelism = workers
+		tab := mustQuery(t, db, "SELECT a % c AS m FROM fm")
+		if tab.NumRows() != rows {
+			t.Fatalf("workers=%d: %d rows, want %d", workers, tab.NumRows(), rows)
+		}
+		for i := 0; i < rows; i++ {
+			got := tab.Column("m").Get(i)
+			if divisors[i%len(divisors)] != 3 {
+				if !got.IsNull() {
+					t.Fatalf("workers=%d row %d: %d %% %g = %v, want NULL", workers, i, i, divisors[i%len(divisors)], got)
+				}
+				continue
+			}
+			if got.IsNull() || got.Float64() != float64(i%3) {
+				t.Fatalf("workers=%d row %d: %d %% 3 = %v, want %d", workers, i, i, got, i%3)
+			}
+		}
+	}
+	db.Parallelism = 0
+}
+
 func TestBuiltinFunctions(t *testing.T) {
 	db := newTestDB(t)
 	tab := mustQuery(t, db, "SELECT sqrt(16.0) AS s, upper(name) AS u, length(name) AS l FROM users WHERE id = 1")

@@ -8,19 +8,6 @@ import (
 	"vexdb/internal/vector"
 )
 
-// hashAggOp implements hash aggregation with optional grouping. With
-// no GROUP BY it produces exactly one row (even for empty input, per
-// SQL semantics). Under a memory budget, consumption grace-partitions
-// to disk when the table outgrows the budget (agg_spill.go) and the
-// emitter streams partition results merged by first appearance.
-type hashAggOp struct {
-	spec    *plan.Aggregate
-	child   Operator
-	ctx     *Context
-	started bool
-	emitter *aggEmitter
-}
-
 // aggState is one aggregate's partial state. For DISTINCT aggregates
 // the accumulators stay zero during consumption: distinct holds the
 // encoded argument values (appendRowKey form), per-worker sets union
@@ -38,8 +25,8 @@ type aggState struct {
 
 // aggGroup is the accumulated state of one group. firstSeen orders the
 // output: it is the global position (morsel, row) of the group's first
-// input row, so parallel partitions merge back into the exact order
-// serial execution would produce.
+// input row, so per-worker partitions merge back into the exact order
+// a one-worker run produces.
 type aggGroup struct {
 	keyVals   []vector.Value
 	aggs      []aggState
@@ -296,7 +283,7 @@ func (t *aggTable) emit() (*vector.Chunk, error) {
 
 // emitRun materializes the groups as a run sorted by first appearance:
 // the finalized output chunk plus each group's firstSeen position, so
-// spilled partitions merge back into exact serial first-appearance
+// spilled partitions merge back into exact global first-appearance
 // order via the shared run merger (zero sort keys: the merge orders
 // purely by position, and firstSeen values are unique — no two groups
 // share a first row).
@@ -330,44 +317,6 @@ func (t *aggTable) emitRun() (*sortedRun, error) {
 		pos = append(pos, g.firstSeen)
 	}
 	return &sortedRun{data: vector.NewChunk(cols...), pos: pos}, nil
-}
-
-func (a *hashAggOp) Open(ctx *Context) error {
-	a.ctx = ctx
-	a.emitter = nil
-	a.started = false
-	return a.child.Open(ctx)
-}
-
-func (a *hashAggOp) Next() (*vector.Chunk, error) {
-	if !a.started {
-		a.started = true
-		shared := &aggShared{}
-		cons := newAggConsumer(a.ctx, a.spec, shared)
-		morsel := 0
-		for {
-			if a.ctx.interrupted() {
-				return nil, ErrCancelled
-			}
-			ch, err := a.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if ch == nil {
-				break
-			}
-			if err := cons.consume(ch, morsel); err != nil {
-				return nil, err
-			}
-			morsel++
-		}
-		em, err := finishAggEmit(a.ctx, a.spec, []*aggConsumer{cons}, shared)
-		if err != nil {
-			return nil, err
-		}
-		a.emitter = em
-	}
-	return a.emitter.next(a.ctx)
 }
 
 func appendCast(col *vector.Vector, v vector.Value, t vector.Type) {
@@ -531,9 +480,4 @@ func finalizeAgg(st *aggState, spec plan.AggSpec) (vector.Value, error) {
 		return st.max, nil
 	}
 	return vector.Null(), nil
-}
-
-func (a *hashAggOp) Close() error {
-	a.emitter.close()
-	return a.child.Close()
 }

@@ -171,20 +171,28 @@ func evalArith(op sql.BinaryOp, outType vector.Type, l, r *vector.Vector) (*vect
 				out[i] = a[i] / b[i] // IEEE semantics; NULL handled below
 			}
 		case sql.OpMod:
+			// Modulo truncates both operands to integers; a divisor
+			// that truncates to 0 (|c| < 1) yields NULL below.
 			for i := range out {
-				if b[i] == 0 {
-					out[i] = 0
-				} else {
-					out[i] = float64(int64(a[i]) % int64(b[i]))
+				if d := int64(b[i]); d != 0 {
+					out[i] = float64(int64(a[i]) % d)
 				}
 			}
 		}
 		res := vector.FromFloat64s(out)
 		combineNulls(res, l, r)
-		// Division by zero yields NULL, not Inf.
-		if op == sql.OpDiv {
+		// Division or modulo by zero yields NULL, as on the integer
+		// path, not Inf or a panic.
+		switch op {
+		case sql.OpDiv:
 			for i := range b {
 				if b[i] == 0 {
+					res.SetNull(i)
+				}
+			}
+		case sql.OpMod:
+			for i := range b {
+				if int64(b[i]) == 0 {
 					res.SetNull(i)
 				}
 			}

@@ -46,6 +46,27 @@ func TestEvalMixedWidthArithmetic(t *testing.T) {
 	}
 }
 
+// Float modulo truncates both operands to integers. A divisor that
+// truncates to zero — 0.0 itself or any 0 < |c| < 1 — yields NULL, as
+// integer modulo by zero does, instead of panicking the worker.
+func TestEvalFloatModuloByTruncatedZero(t *testing.T) {
+	a := vector.FromFloat64s([]float64{7, 7, 7, -7, 7.9, 7})
+	c := vector.FromFloat64s([]float64{0.5, -0.5, 0, 0.99, 2.5, 1})
+	e := &plan.BinOp{Op: sql.OpMod, Left: colRef(0, vector.Float64), Right: colRef(1, vector.Float64), Typ: vector.Float64}
+	out := evalOver(t, e, a, c)
+	for i := 0; i < 4; i++ {
+		if !out.IsNull(i) {
+			t.Fatalf("row %d: %v %% %v = %v, want NULL", i, a.Get(i), c.Get(i), out.Get(i))
+		}
+	}
+	if got := out.Get(4).Float64(); got != 1 { // int64(7.9) % int64(2.5) = 7 % 2
+		t.Fatalf("7.9 %% 2.5 = %v, want 1", got)
+	}
+	if got := out.Get(5).Float64(); got != 0 {
+		t.Fatalf("7 %% 1 = %v, want 0", got)
+	}
+}
+
 func TestEvalThreeValuedLogic(t *testing.T) {
 	// a: [T, F, NULL], b: [NULL, NULL, NULL]
 	a := vector.New(vector.Bool, 3)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"vexdb/internal/plan"
@@ -140,10 +141,13 @@ func TestHybridAggGrowBudgetAvoidsSpill(t *testing.T) {
 	node := hybridAggNode(&plan.Scan{Table: tab})
 	want := runPlan(t, node, &Context{Parallelism: 1})
 
-	var lease int64 = 64 << 10 // would certainly spill on its own
-	ctx, dir := spillCtx(t, 2, lease)
-	ctx.LiveBudget = func() int64 { return lease }
-	ctx.GrowBudget = func(n int64) int64 { lease += n; return lease }
+	// Workers call the budget hooks concurrently, as they call the
+	// governor ticket's atomic watermark.
+	var lease atomic.Int64
+	lease.Store(64 << 10) // would certainly spill on its own
+	ctx, dir := spillCtx(t, 2, lease.Load())
+	ctx.LiveBudget = lease.Load
+	ctx.GrowBudget = func(n int64) int64 { return lease.Add(n) }
 	got := runPlan(t, node, ctx)
 	assertTablesEqual(t, got, want, "grown budget")
 	if ctx.Spill.Spilled() {

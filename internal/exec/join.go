@@ -2,8 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
@@ -13,23 +11,24 @@ import (
 
 // hashJoinOp implements inner and left outer equi-joins: the right
 // input is materialized into a hash table keyed on the right key
-// expressions; left chunks probe it. With no key pairs it degrades to
-// a cross product (single-bucket join). Residual ON conjuncts are
-// applied to joined rows.
+// expressions; the left pipeline's morsels probe it. With no key pairs
+// it degrades to a cross product (single-bucket join). Residual ON
+// conjuncts are applied to joined rows.
 //
-// When probePipe is set, the left input is a morsel-parallelizable
-// pipeline: the build table is shared (it is read-only after Open) and
-// workers probe left morsels concurrently, re-emitting join output in
-// morsel order so results match serial execution row for row.
+// The build table is shared (it is read-only after Open) and workers
+// probe left morsels concurrently, re-emitting join output in morsel
+// order so results match a one-worker run row for row. At one worker
+// the probe runs on the calling goroutine, so a UDF in the probe keys
+// or the residual is never evaluated concurrently with the operators
+// above the join.
 type hashJoinOp struct {
 	spec  *plan.HashJoin
-	left  Operator
 	right Operator
 
-	// probePipe, when non-nil, replaces left with a parallel probe.
 	probePipe *pipeSpec
 	workers   int
 	drv       *orderedDriver
+	one       *oneWorker
 	ctx       *Context
 
 	build    *vector.Chunk // materialized right input
@@ -46,9 +45,28 @@ type hashJoinOp struct {
 	spillMerger *runMerger
 }
 
+// buildHashJoinOp builds a join probing the left child's pipeline; own
+// is the probe's worker count. UDFs in the probe keys or the residual
+// pin one worker: probing would evaluate them concurrently.
+func buildHashJoinOp(spec *plan.HashJoin, workers, own int) (Operator, error) {
+	pipe, err := buildPipe(spec.Left, workers)
+	if err != nil {
+		return nil, err
+	}
+	right, err := buildWith(spec.Right, workers)
+	if err != nil {
+		return nil, err
+	}
+	if exprsHaveUDF(spec.LeftKeys) || (spec.Extra != nil && exprsHaveUDF([]plan.Expr{spec.Extra})) {
+		own = 1
+	}
+	return &hashJoinOp{spec: spec, right: right, probePipe: pipe, workers: own}, nil
+}
+
 func (j *hashJoinOp) Open(ctx *Context) error {
 	j.done = false
 	j.ctx = ctx
+	j.drv, j.one = nil, nil
 	j.spill = nil
 	j.spillMerger = nil
 	if err := j.right.Open(ctx); err != nil {
@@ -63,14 +81,10 @@ func (j *hashJoinOp) Open(ctx *Context) error {
 		if err := js.finishBuild(); err != nil {
 			return err
 		}
-		// Probing runs serially under spill (the order-restoring sort
-		// makes output order independent of probe scheduling); the
-		// pipeline source, when present, is drained morsel by morsel
-		// in spillProbe instead of through the ordered driver.
-		if j.probePipe == nil {
-			return j.left.Open(ctx)
-		}
-		return nil
+		// Under spill the probe drains in spillProbe rather than
+		// through the ordered driver: the order-restoring sort makes
+		// output order independent of probe scheduling.
+		return j.probePipe.open(ctx)
 	}
 	j.build = build
 	j.buildIdx = nil
@@ -187,121 +201,29 @@ func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, *joinSpill, error)
 	return vector.NewChunk(acc...), nil, nil
 }
 
-// spillProbe drains the probe input through the partitioned path:
+// spillProbe drains the probe pipeline through the partitioned path:
 // resident partitions join immediately, spilled ones defer, and the
-// deferred partitions are then processed one at a time. A pipelined
-// probe side keeps its morsel parallelism — workers claim morsels and
-// probe concurrently; the order-restoring sort hides the scheduling.
+// deferred partitions are then processed one at a time. Probe workers
+// claim morsels and probe concurrently, each through its own probe
+// state (private run builder and key scratch), serializing only on
+// routing rows deferred to spilled partitions; the order-restoring
+// sort hides the scheduling.
 func (j *hashJoinOp) spillProbe() error {
 	js := j.spill
-	switch {
-	case j.probePipe != nil && j.workers > 1:
-		if err := j.spillProbeParallel(); err != nil {
-			return err
-		}
-	case j.probePipe != nil:
-		ps := js.newProbeState()
-		n := j.probePipe.src.open(j.ctx)
-		var sc pipeScratch
-		for i := 0; i < n; i++ {
-			if j.ctx.interrupted() {
-				return ErrCancelled
-			}
-			ch, err := j.probePipe.src.fetch(i)
-			if err == nil {
-				ch, err = j.probePipe.apply(ch, &sc)
-			}
-			if err != nil {
-				return err
-			}
-			if ch == nil || ch.NumRows() == 0 {
-				continue
-			}
-			if err := js.probeChunk(ch, i, ps); err != nil {
-				return err
-			}
-		}
-		j.probePipe.src.finish()
-	default:
-		ps := js.newProbeState()
-		c := 0
-		for {
-			if j.ctx.interrupted() {
-				return ErrCancelled
-			}
-			ch, err := j.left.Next()
-			if err != nil {
-				return err
-			}
-			if ch == nil {
-				break
-			}
-			if ch.NumRows() > 0 {
-				if err := js.probeChunk(ch, c, ps); err != nil {
-					return err
-				}
-			}
-			c++
-		}
+	states := make([]*probeState, j.probePipe.width(j.workers))
+	for w := range states {
+		states[w] = js.newProbeState()
+	}
+	err := j.probePipe.drain(j.ctx, len(states), func(w, i int, ch *vector.Chunk) error {
+		return js.probeChunk(ch, i, states[w])
+	}, nil)
+	if cerr := j.probePipe.src.close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
 	}
 	return js.processSpilled(js.newProbeState())
-}
-
-// spillProbeParallel drains a pipelined probe side with a worker pool:
-// each worker claims morsels, probes resident partitions through its
-// own probe state (private run builder and key scratch), and
-// serializes only on routing rows deferred to spilled partitions.
-func (j *hashJoinOp) spillProbeParallel() error {
-	js := j.spill
-	n := j.probePipe.src.open(j.ctx)
-	workers := j.workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			ps := js.newProbeState()
-			var sc pipeScratch
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() || j.ctx.interrupted() {
-					return
-				}
-				ch, err := j.probePipe.src.fetch(i)
-				if err == nil {
-					ch, err = j.probePipe.apply(ch, &sc)
-				}
-				if err == nil && ch != nil && ch.NumRows() > 0 {
-					err = js.probeChunk(ch, i, ps)
-				}
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	j.probePipe.src.finish()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if j.ctx.interrupted() {
-		return ErrCancelled
-	}
-	return nil
 }
 
 // spillNext streams the spilled join's output: first drain the probe
@@ -329,20 +251,21 @@ func (j *hashJoinOp) spillNext() (*vector.Chunk, error) {
 	return vector.NewChunk(ch.Cols()[:j.spill.outCols]...), nil
 }
 
-// openProbe starts the probe side once the build table is complete:
-// either the serial left child, or the morsel-parallel probe workers
-// (probe only reads the operator's state, so workers share it).
+// openProbe starts the probe workers once the build table is complete
+// (probe only reads the operator's state, so workers share it). One
+// worker probes inline in Next through a oneWorker reader.
 func (j *hashJoinOp) openProbe(ctx *Context) error {
-	if j.probePipe == nil {
-		return j.left.Open(ctx)
+	if err := j.probePipe.open(ctx); err != nil {
+		return err
 	}
-	n := j.probePipe.src.open(ctx)
-	scratch := make([]pipeScratch, j.workers)
-	j.drv = startOrdered(n, j.workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
-		ch, err := j.probePipe.src.fetch(i)
-		if err == nil {
-			ch, err = j.probePipe.apply(ch, &scratch[w])
-		}
+	workers := j.probePipe.width(j.workers)
+	if workers == 1 {
+		j.one = j.probePipe.oneWorker(ctx)
+		return nil
+	}
+	scratch := make([]pipeScratch, workers)
+	j.drv = startOrdered(j.probePipe.n, workers, ctx.done(), func(w, i int) (*vector.Chunk, error) {
+		ch, err := j.probePipe.morsel(i, &scratch[w])
 		if err != nil || ch == nil {
 			return nil, err
 		}
@@ -369,28 +292,20 @@ func (j *hashJoinOp) Next() (*vector.Chunk, error) {
 	if j.spill != nil {
 		return j.spillNext()
 	}
-	if j.drv != nil {
+	if j.one == nil {
 		return j.drv.next()
 	}
 	for {
-		// A probe chunk whose every row misses produces no output;
-		// observe cancellation between input chunks.
-		if j.ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		ch, err := j.left.Next()
-		if err != nil {
+		ch, _, err := j.one.next()
+		if err != nil || ch == nil {
 			return nil, err
-		}
-		if ch == nil {
-			j.done = true
-			return nil, nil
 		}
 		out, err := j.probe(ch)
 		if err != nil {
+			j.done = true
 			return nil, err
 		}
-		if out != nil && out.NumRows() > 0 {
+		if out.NumRows() > 0 {
 			return out, nil
 		}
 	}
@@ -555,15 +470,10 @@ func concatChunks(a, b *vector.Chunk) *vector.Chunk {
 
 func (j *hashJoinOp) Close() error {
 	j.drv.abort()
-	if j.probePipe != nil {
-		j.probePipe.src.finish()
-	}
+	j.one.close()
 	j.spill.release()
 	j.spillMerger.close()
-	var lerr error
-	if j.left != nil {
-		lerr = j.left.Close()
-	}
+	lerr := j.probePipe.src.close()
 	rerr := j.right.Close()
 	if lerr != nil {
 		return lerr

@@ -27,12 +27,12 @@
 // residual-rejected rows, each in probe-row order, which is the order
 // the in-memory probe appends them in.
 //
-// The probe side stays morsel-parallel under spill when the plan
-// probed in parallel: workers claim probe morsels and probe resident
-// partitions concurrently, each tagging output through its own run
-// builder (all runs merge in one order-restoring sort), and serialize
-// only on routing deferred rows to spilled partitions. The sort makes
-// worker scheduling an implementation detail, not a semantic one.
+// The probe side stays morsel-parallel under spill: workers claim
+// probe morsels and probe resident partitions concurrently, each
+// tagging output through its own run builder (all runs merge in one
+// order-restoring sort), and serialize only on routing deferred rows
+// to spilled partitions. The sort makes worker scheduling an
+// implementation detail, not a semantic one.
 // Joins without equi-keys (cross products) and joins whose keys or
 // residual contain UDFs never spill — they keep the in-memory path
 // regardless of budget.

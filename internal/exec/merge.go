@@ -10,7 +10,7 @@
 // back lazily, so merging k spilled runs holds O(k) windows — not the
 // input — in memory. Every row carries its global input position; the
 // merge breaks key ties by position, which makes the output
-// byte-identical to a serial stable sort no matter how rows were
+// byte-identical to a stable sort of the input no matter how rows were
 // distributed over runs, workers or spill files.
 package exec
 

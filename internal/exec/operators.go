@@ -32,10 +32,10 @@ type Context struct {
 	// partitioned UDF evaluation. Zero means runtime.NumCPU().
 	Parallelism int
 
-	// Done, when non-nil, cancels the query when closed: parallel
-	// operators stop claiming morsels, serial drain loops return
-	// ErrCancelled between chunks, and ChunkStream.Next returns
-	// ErrCancelled. Stream installs its own channel here when unset.
+	// Done, when non-nil, cancels the query when closed: workers stop
+	// claiming morsels, drain loops return ErrCancelled between
+	// chunks, and ChunkStream.Next returns ErrCancelled. Stream
+	// installs its own channel here when unset.
 	Done <-chan struct{}
 
 	// Stats, when non-nil, accumulates this query's segment-level
@@ -92,7 +92,6 @@ type Context struct {
 	spillMgr *spill.Manager
 }
 
-// Workers returns the effective parallelism.
 // tableData resolves the data version scans of t read: the query's
 // pinned snapshot when one is set, else the table's current version.
 func (c *Context) tableData(t *catalog.Table) *storage.TableSnapshot {
@@ -102,6 +101,7 @@ func (c *Context) tableData(t *catalog.Table) *storage.TableSnapshot {
 	return t.Data.Snapshot()
 }
 
+// Workers returns the effective parallelism.
 func (c *Context) Workers() int {
 	if c == nil || c.Parallelism <= 0 {
 		return runtime.NumCPU()
@@ -131,17 +131,11 @@ func (c *Context) interrupted() bool {
 	}
 }
 
-// Build converts a bound plan into a serial operator tree. Run builds
-// with the context's worker count instead, enabling the morsel-driven
-// parallel operators; Build stays serial for callers without a context.
-func Build(node plan.Node) (Operator, error) { return buildWith(node, 1) }
-
-// buildWith converts a bound plan into an operator tree, substituting
-// morsel-parallel operators for eligible subtrees when workers > 1 and
-// the planner did not mark the node Serial. Nodes carrying an EXPLAIN
-// ANALYZE tap are wrapped in a counting operator; Scan and Filter
-// count inside their operators instead, because the pipeline extractor
-// collapses them into morsel stages with no operator boundary.
+// buildWith converts a bound plan into an operator tree whose
+// operators use up to workers goroutines each. Nodes carrying an
+// EXPLAIN ANALYZE tap are wrapped in a counting operator; Scan and
+// Filter count inside their pipeline stages instead, because they run
+// inside morsel workers with no operator boundary.
 func buildWith(node plan.Node, workers int) (Operator, error) {
 	op, err := buildNode(node, workers)
 	if err != nil {
@@ -169,8 +163,8 @@ func boundaryTap(node plan.Node) *plan.NodeStats {
 	return nil
 }
 
-// serialHint reports whether the planner pinned this node to serial
-// execution (estimated input too small to amortize parallel setup).
+// serialHint reports whether the planner pinned this node to one
+// worker (estimated input too small to amortize parallel setup).
 func serialHint(node plan.Node) bool {
 	switch n := node.(type) {
 	case *plan.HashJoin:
@@ -209,82 +203,62 @@ func tapCount(tap *plan.NodeStats, ch *vector.Chunk) {
 	}
 }
 
+// buildNode builds one plan node. workers is the worker count the
+// node's children are built with; own, the count the node's operator
+// and the pipeline stages it absorbs run with, drops to one when the
+// planner pinned the node serial.
 func buildNode(node plan.Node, workers int) (Operator, error) {
-	if workers > 1 && !serialHint(node) {
-		op, ok, err := buildParallel(node, workers)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return op, nil
-		}
+	own := workers
+	if serialHint(node) {
+		own = 1
 	}
 	switch n := node.(type) {
-	case *plan.Scan:
-		return &scanOp{table: n.Table, projection: n.Projection, preds: n.Preds, rowPos: n.RowPos, tap: n.Hints.Tap}, nil
-	case *plan.Material:
-		return &materialOp{data: n.Data}, nil
+	case *plan.Scan, *plan.Material, *plan.Filter:
+		return buildPipeOp(node, workers, own)
 	case *plan.TableFuncScan:
 		return newTableFuncOp(n)
-	case *plan.Filter:
-		child, err := buildWith(n.Child, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &filterOp{pred: n.Pred, child: child, tap: n.Hints.Tap}, nil
 	case *plan.Project:
+		if pipedProject(n) {
+			return buildPipeOp(node, workers, own)
+		}
 		child, err := buildWith(n.Child, workers)
 		if err != nil {
 			return nil, err
 		}
-		if exprsHaveUDF(n.Exprs) {
-			if callsAllParallel(n.Exprs) {
-				// Row-local (Parallel) UDFs — model prediction — stream
-				// chunk at a time: O(chunk) memory, LIMIT early-exit,
-				// cancellation at chunk boundaries.
-				return &mlProjectOp{exprs: n.Exprs, child: child}, nil
-			}
-			// Holistic UDFs must see the whole input at once, as
-			// MonetDB/Python vectorized UDFs do: materialize the child
-			// and evaluate once over the full input.
-			return &udfProjectOp{exprs: n.Exprs, child: child}, nil
+		if callsAllParallel(n.Exprs) {
+			// Row-local (Parallel) UDFs — model prediction — over an
+			// operator input stream chunk at a time: O(chunk) memory,
+			// LIMIT early-exit, cancellation at chunk boundaries.
+			return &mlProjectOp{exprs: n.Exprs, child: child}, nil
 		}
-		return &projectOp{exprs: n.Exprs, child: child}, nil
+		// Holistic UDFs must see the whole input at once, as
+		// MonetDB/Python vectorized UDFs do: materialize the child
+		// and evaluate once over the full input.
+		return &udfProjectOp{exprs: n.Exprs, child: child}, nil
 	case *plan.HashJoin:
-		left, err := buildWith(n.Left, workers)
-		if err != nil {
-			return nil, err
-		}
-		right, err := buildWith(n.Right, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &hashJoinOp{spec: n, left: left, right: right}, nil
+		return buildHashJoinOp(n, workers, own)
 	case *plan.Aggregate:
-		child, err := buildWith(n.Child, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &hashAggOp{spec: n, child: child}, nil
+		return buildAggOp(n, n.Child, workers, own)
+	case *plan.Distinct:
+		// DISTINCT is grouping by every column with no aggregates; the
+		// aggregation dedups per worker and restores first-appearance
+		// order at the merge.
+		return buildAggOp(distinctSpec(n.Child), n.Child, workers, own)
 	case *plan.Sort:
-		child, err := buildWith(n.Child, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &sortOp{spec: n, child: child}, nil
+		return buildSortOp(n, workers, own)
 	case *plan.Limit:
 		child, err := buildWith(n.Child, workers)
 		if err != nil {
 			return nil, err
 		}
 		return &limitOp{count: n.Count, offset: n.Offset, child: child}, nil
-	case *plan.Distinct:
-		child, err := buildWith(n.Child, workers)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctOp{child: child}, nil
 	case *plan.Union:
+		if !n.All {
+			// UNION is DISTINCT over UNION ALL.
+			all := *n
+			all.All = true
+			return buildAggOp(distinctSpec(n), &all, workers, own)
+		}
 		left, err := buildWith(n.Left, workers)
 		if err != nil {
 			return nil, err
@@ -293,11 +267,7 @@ func buildNode(node plan.Node, workers int) (Operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		var op Operator = &unionOp{left: left, right: right, types: n.Schema().Types()}
-		if !n.All {
-			op = &distinctOp{child: op}
-		}
-		return op, nil
+		return &unionOp{left: left, right: right, types: n.Schema().Types()}, nil
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", node)
 }
@@ -345,69 +315,7 @@ func errColumnCast(name string, err error) error {
 	return fmt.Errorf("exec: result column %q: %w", name, err)
 }
 
-// ----------------------------------------------------------------- material
-
-type materialOp struct {
-	data *vector.Table
-	pos  int
-}
-
-func (m *materialOp) Open(*Context) error { m.pos = 0; return nil }
-
-func (m *materialOp) Next() (*vector.Chunk, error) {
-	n := m.data.NumRows()
-	if m.pos >= n {
-		return nil, nil
-	}
-	end := m.pos + vector.DefaultChunkSize
-	if end > n {
-		end = n
-	}
-	ch := m.data.Chunk().Slice(m.pos, end)
-	m.pos = end
-	return ch, nil
-}
-
-func (m *materialOp) Close() error { return nil }
-
 // ----------------------------------------------------------------- filter
-
-type filterOp struct {
-	pred  plan.Expr
-	child Operator
-	tap   *plan.NodeStats
-	ctx   *Context
-	sel   []int // selection buffer reused across chunks
-}
-
-func (f *filterOp) Open(ctx *Context) error {
-	f.ctx = ctx
-	return f.child.Open(ctx)
-}
-
-func (f *filterOp) Next() (*vector.Chunk, error) {
-	for {
-		// A highly selective filter can spin through many input chunks
-		// before emitting one; observe cancellation between chunks.
-		if f.ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		ch, err := f.child.Next()
-		if err != nil || ch == nil {
-			return ch, err
-		}
-		out, err := filterChunk(f.pred, ch, &f.sel)
-		if err != nil {
-			return nil, err
-		}
-		if out != nil {
-			tapCount(f.tap, out)
-			return out, nil
-		}
-	}
-}
-
-func (f *filterOp) Close() error { return f.child.Close() }
 
 // filterChunk returns the rows of ch matching pred, nil when none do.
 // *selBuf is reused across calls; an all-true NULL-free predicate
@@ -453,32 +361,7 @@ func filterChunk(pred plan.Expr, ch *vector.Chunk, selBuf *[]int) (*vector.Chunk
 	return ch.Gather(sel), nil
 }
 
-// ----------------------------------------------------------------- project
-
-type projectOp struct {
-	exprs []plan.Expr
-	child Operator
-}
-
-func (p *projectOp) Open(ctx *Context) error { return p.child.Open(ctx) }
-
-func (p *projectOp) Next() (*vector.Chunk, error) {
-	ch, err := p.child.Next()
-	if err != nil || ch == nil {
-		return nil, err
-	}
-	cols := make([]*vector.Vector, len(p.exprs))
-	for i, e := range p.exprs {
-		v, err := Evaluate(e, ch)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = v
-	}
-	return vector.NewChunk(cols...), nil
-}
-
-func (p *projectOp) Close() error { return p.child.Close() }
+// ----------------------------------------------------------------- UDF projection
 
 // exprsHaveUDF reports whether any expression contains a UDF call.
 func exprsHaveUDF(exprs []plan.Expr) bool {
@@ -655,142 +538,6 @@ func (l *limitOp) Next() (*vector.Chunk, error) {
 }
 
 func (l *limitOp) Close() error { return l.child.Close() }
-
-// ----------------------------------------------------------------- distinct
-
-// distinctOp streams first appearances from an in-memory group index.
-// Under a memory budget it switches to grace-partitioned spill once
-// the index outgrows the budget (see distinct_spill.go): rows already
-// emitted keep the streaming order, and the spilled remainder is
-// merged back in global input order at child exhaustion, so output is
-// identical to the unbounded run.
-type distinctOp struct {
-	child   Operator
-	ctx     *Context
-	gi      *groupIndex
-	kind    keyKind
-	sel     []int // selection buffer reused across chunks
-	bytes   int64 // estimated index footprint, tracked against the budget
-	pos     int64 // global input row counter (merge tiebreak after spill)
-	spiller *distinctSpiller
-	merger  *runMerger
-}
-
-func (d *distinctOp) Open(ctx *Context) error {
-	d.gi = nil
-	d.ctx = ctx
-	d.bytes, d.pos = 0, 0
-	d.spiller, d.merger = nil, nil
-	return d.child.Open(ctx)
-}
-
-func (d *distinctOp) Next() (*vector.Chunk, error) {
-	if d.merger != nil {
-		return d.merger.next(d.ctx)
-	}
-	for {
-		if d.ctx.interrupted() {
-			return nil, ErrCancelled
-		}
-		ch, err := d.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ch == nil {
-			if d.spiller == nil {
-				d.ctx.memShrink(d.bytes)
-				d.bytes = 0
-				return nil, nil
-			}
-			m, err := d.spiller.finishDistinct()
-			if err != nil {
-				return nil, err
-			}
-			d.merger = m
-			return d.merger.next(d.ctx)
-		}
-		if d.spiller != nil {
-			base := d.pos
-			d.pos += int64(ch.NumRows())
-			if err := d.spiller.route(ch, base); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if d.gi == nil {
-			types := make([]vector.Type, ch.NumCols())
-			for i := range types {
-				types[i] = ch.Col(i).Type()
-			}
-			d.gi = newGroupIndex(types)
-			d.kind = d.gi.kind
-		}
-		sel := d.sel[:0]
-		cols := ch.Cols()
-		var grew int64
-		for i := 0; i < ch.NumRows(); i++ {
-			if _, created := d.gi.groupID(cols, i); created {
-				sel = append(sel, i)
-				grew += distinctRowBytes(cols, i)
-			}
-		}
-		d.pos += int64(ch.NumRows())
-		d.sel = sel
-		if grew > 0 {
-			d.bytes += grew
-			d.ctx.memGrow(grew)
-		}
-		// A zero-key distinct (defensive; plans always have columns)
-		// holds one group and never needs to spill.
-		if d.kind != keyKindNone && d.ctx.shouldSpill(d.bytes) {
-			d.spiller = newDistinctSpiller(d.ctx, d.kind)
-			if err := d.spiller.dumpIndex(d.gi); err != nil {
-				return nil, err
-			}
-			d.ctx.memShrink(d.bytes)
-			d.bytes = 0
-			d.gi = nil
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		if len(sel) == ch.NumRows() {
-			return ch, nil
-		}
-		return ch.Gather(sel), nil
-	}
-}
-
-func (d *distinctOp) Close() error {
-	d.merger.close()
-	d.spiller.release()
-	d.ctx.memShrink(d.bytes)
-	d.bytes = 0
-	return d.child.Close()
-}
-
-// distinctRowBytes estimates the index footprint of one newly created
-// distinct key: per-column stored bytes plus map-entry overhead.
-func distinctRowBytes(cols []*vector.Vector, r int) int64 {
-	n := int64(48)
-	for _, c := range cols {
-		switch c.Type() {
-		case vector.String:
-			if !c.IsNull(r) {
-				n += int64(len(c.Strings()[r]))
-			}
-			n += 16
-		case vector.Blob:
-			if !c.IsNull(r) {
-				n += int64(len(c.Blobs()[r]))
-			}
-			n += 24
-		default:
-			n += 9
-		}
-	}
-	return n
-}
 
 // ----------------------------------------------------------------- union
 

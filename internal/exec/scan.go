@@ -1,10 +1,10 @@
-// Zone-map pruned, prefetching base-table scans. Sealed storage
-// segments carry per-column min/max statistics; a scan first tests
+// Zone-map pruned base-table scans. Sealed storage segments carry
+// per-column min/max statistics; the scan morsel source first tests
 // the pushed-down predicates against them and skips whole segments
-// that provably contain no matching row, then decodes the survivors.
-// The serial scan overlaps decode with compute by running a bounded
-// prefetcher goroutine; the morsel-parallel scan gets the same
-// overlap from its worker pool, so only pruning is added there.
+// that provably contain no matching row, then decodes the survivors,
+// one segment per morsel. Decode overlaps compute through the worker
+// pool; at one worker the exchange's run-ahead worker decodes ahead
+// of the consumer.
 package exec
 
 import (
@@ -124,125 +124,62 @@ func cmpKnown(a, b vector.Value) (int, bool) {
 	return c, err == nil
 }
 
-// prefetchDepth bounds how many decoded segments the serial scan's
-// prefetcher may run ahead of the consumer.
-const prefetchDepth = 4
-
-// scanOp is the serial base-table scan: a single prefetcher goroutine
-// walks the segments, skips the ones zone maps prune, decodes
-// survivors into recycled chunk buffers and hands them over a bounded
-// channel, overlapping decode with downstream compute. Chunks are
-// valid until the next call to Next (standard operator contract);
-// only then is their buffer set recycled.
-type scanOp struct {
+// scanSource reads one storage segment per morsel (zero-copy for
+// sealed raw columns; compressed columns decode in the worker, which
+// overlaps decode with compute across the pool, and with the consumer
+// behind the exchange's run-ahead worker). Segments whose zone maps
+// refute the pushed-down predicates are skipped before decode.
+type scanSource struct {
 	table      *catalog.Table
 	projection []int
 	preds      []plan.ScanPredicate
 	rowPos     bool
 	tap        *plan.NodeStats
+	stats      *ScanStats
+	store      *storage.TableSnapshot
+	bases      []int64
 
-	results  chan scanResult
-	free     chan []*vector.Vector
-	quit     chan struct{}
-	quitOnce sync.Once
-	aborted  atomic.Bool
-	wg       sync.WaitGroup
-	last     []*vector.Vector
+	scanned, skipped atomic.Int64
+	closeOnce        sync.Once
 }
 
-type scanResult struct {
-	ch   *vector.Chunk
-	bufs []*vector.Vector
-	err  error
-}
-
-func (s *scanOp) Open(ctx *Context) error {
-	s.results = make(chan scanResult, prefetchDepth)
-	s.free = make(chan []*vector.Vector, prefetchDepth+2)
-	s.quit = make(chan struct{})
-	s.quitOnce = sync.Once{}
-	s.aborted.Store(false)
-	s.last = nil
-
-	store := ctx.tableData(s.table)
-	n := store.NumSegments()
-	ncols := len(s.projection)
-	if s.projection == nil {
-		ncols = store.NumColumns()
-	}
-	done := ctx.done()
-	stats := ctx.stats()
-	var bases []int64
+func (s *scanSource) open(ctx *Context) (int, error) {
+	s.store = ctx.tableData(s.table)
+	s.stats = ctx.stats()
 	if s.rowPos {
-		bases = rowPosBases(store)
+		s.bases = rowPosBases(s.store)
 	}
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer close(s.results)
-		var scanned, skipped int64
-		defer func() { store.NoteScan(scanned, skipped) }()
-		for i := 0; i < n; i++ {
-			if len(s.preds) > 0 && segmentPrunable(store.Zones(i), s.preds) {
-				skipped++
-				stats.addSkipped(1)
-				continue
-			}
-			var bufs []*vector.Vector
-			select {
-			case bufs = <-s.free:
-			default:
-				bufs = make([]*vector.Vector, ncols)
-			}
-			ch, err := store.SegmentInto(i, s.projection, bufs)
-			if err == nil {
-				scanned++
-				stats.addScanned(1)
-				if s.rowPos {
-					ch = withRowPos(ch, bases[i])
-				}
-			}
-			select {
-			case s.results <- scanResult{ch: ch, bufs: bufs, err: err}:
-				if err != nil {
-					return
-				}
-			case <-s.quit:
-				s.aborted.Store(true)
-				return
-			case <-done:
-				s.aborted.Store(true)
-				return
-			}
-		}
-	}()
-	return nil
+	return s.store.NumSegments(), nil
 }
 
-func (s *scanOp) Next() (*vector.Chunk, error) {
-	// The chunk handed out by the previous Next is dead now; recycle
-	// its decode buffers for the prefetcher.
-	if s.last != nil {
-		select {
-		case s.free <- s.last:
-		default:
-		}
-		s.last = nil
-	}
-	r, ok := <-s.results
-	if !ok {
-		if s.aborted.Load() {
-			return nil, ErrCancelled
-		}
+func (s *scanSource) fetch(i int) (*vector.Chunk, error) {
+	if len(s.preds) > 0 && segmentPrunable(s.store.Zones(i), s.preds) {
+		s.skipped.Add(1)
+		s.stats.addSkipped(1)
 		return nil, nil
 	}
-	if r.err != nil {
-		return nil, r.err
+	ch, err := s.store.Segment(i, s.projection)
+	if err != nil {
+		return nil, err
 	}
-	s.last = r.bufs
-	tapCount(s.tap, r.ch)
-	return r.ch, nil
+	s.scanned.Add(1)
+	s.stats.addScanned(1)
+	if s.rowPos {
+		ch = withRowPos(ch, s.bases[i])
+	}
+	tapCount(s.tap, ch)
+	return ch, nil
+}
+
+// close records the scan's pruning outcome on the table's statistics,
+// once, whether the morsels drained or were abandoned.
+func (s *scanSource) close() error {
+	s.closeOnce.Do(func() {
+		if s.store != nil { // Close without Open (a sibling failed to open)
+			s.store.NoteScan(s.scanned.Load(), s.skipped.Load())
+		}
+	})
+	return nil
 }
 
 // rowPosBases returns, per segment, the global position of its first
@@ -270,16 +207,4 @@ func withRowPos(ch *vector.Chunk, base int64) *vector.Chunk {
 	}
 	cols := append(append([]*vector.Vector(nil), ch.Cols()...), vector.FromInt64s(pos))
 	return vector.NewChunk(cols...)
-}
-
-func (s *scanOp) Close() error {
-	if s.quit == nil {
-		return nil
-	}
-	s.quitOnce.Do(func() { close(s.quit) })
-	// Unblock the prefetcher if it is waiting to deliver, then join.
-	for range s.results {
-	}
-	s.wg.Wait()
-	return nil
 }

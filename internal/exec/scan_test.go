@@ -2,9 +2,11 @@ package exec
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"vexdb/internal/catalog"
+	"vexdb/internal/core"
 	"vexdb/internal/plan"
 	"vexdb/internal/sql"
 	"vexdb/internal/storage"
@@ -30,32 +32,42 @@ func scanTable(t *testing.T, rows int) *catalog.Table {
 	}
 }
 
-// The prefetching serial scan must deliver every row in order, and
-// its recycled decode buffers must never corrupt a chunk the consumer
-// still holds (the previous chunk is compared after the next fetch).
+// A one-worker scan must deliver every row in order through the
+// exchange's run-ahead worker, and decoding ahead must never corrupt a
+// chunk the consumer still holds (the previous chunk is compared after
+// the next fetch).
 func TestSerialScanPrefetchOrderAndBufferSafety(t *testing.T) {
 	rows := storage.SegmentRows*3 + 57
 	tab := scanTable(t, rows)
-	op := &scanOp{table: tab, projection: nil}
-	if err := op.Open(&Context{Parallelism: 1}); err != nil {
+	s, err := Stream(&plan.Scan{Table: tab}, &Context{Parallelism: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer op.Close()
-	next := int64(0)
+	defer s.Close()
+	checkRun := func(ch *vector.Chunk, first int64) {
+		t.Helper()
+		for i, x := range ch.Col(0).Int64s() {
+			if x != first+int64(i) {
+				t.Fatalf("row %d out of order: %d", first+int64(i), x)
+			}
+		}
+	}
+	var prev *vector.Chunk
+	var prevFirst, next int64
 	for {
-		ch, err := op.Next()
+		ch, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if prev != nil {
+			checkRun(prev, prevFirst)
 		}
 		if ch == nil {
 			break
 		}
-		for _, x := range ch.Col(0).Int64s() {
-			if x != next {
-				t.Fatalf("row %d out of order: %d", next, x)
-			}
-			next++
-		}
+		checkRun(ch, next)
+		prev, prevFirst = ch, next
+		next += int64(ch.NumRows())
 	}
 	if next != int64(rows) {
 		t.Fatalf("scanned %d rows, want %d", next, rows)
@@ -67,14 +79,14 @@ func TestSerialScanPrunesSegments(t *testing.T) {
 	tab := scanTable(t, rows)
 	preds := []plan.ScanPredicate{{Col: 0, Op: sql.OpGe, Val: vector.NewInt64(int64(rows - 100))}}
 	stats := &ScanStats{}
-	op := &scanOp{table: tab, projection: nil, preds: preds}
-	if err := op.Open(&Context{Parallelism: 1, Stats: stats}); err != nil {
+	s, err := Stream(&plan.Scan{Table: tab, Preds: preds}, &Context{Parallelism: 1, Stats: stats})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer op.Close()
+	defer s.Close()
 	var got int
 	for {
-		ch, err := op.Next()
+		ch, err := s.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,47 +143,54 @@ func TestSegmentPrunableOperators(t *testing.T) {
 	}
 }
 
-// Satellite: serial blocking operators (sort, aggregate, distinct,
-// filter and the drain they share) must observe Context.Done between
-// chunks instead of running to completion.
+// One-worker operators — sort, aggregate, distinct and the filtering
+// exchange — must observe cancellation between input chunks instead
+// of running to completion. The filter predicate cancels the stream
+// from inside its first evaluation, so exactly one of the input's five
+// morsels may be filtered before the operator stops.
 func TestSerialDrainLoopsObserveCancellation(t *testing.T) {
-	done := make(chan struct{})
-	close(done)
-	ctx := &Context{Parallelism: 1, Done: done}
-	child := func() Operator {
-		return &materialOp{data: bigMaterialTable(t, 10_000)}
+	col := &plan.ColRef{Idx: 0, Typ: vector.Int64, Name: "x"}
+	shapes := map[string]func(plan.Node) plan.Node{
+		"sort": func(in plan.Node) plan.Node {
+			return &plan.Sort{Keys: []plan.SortKey{{Expr: col}}, Child: in}
+		},
+		"agg":      func(in plan.Node) plan.Node { return &plan.Aggregate{Child: in} },
+		"distinct": func(in plan.Node) plan.Node { return &plan.Distinct{Child: in} },
+		"filter":   func(in plan.Node) plan.Node { return in },
 	}
-
-	sortop := &sortOp{spec: &plan.Sort{Keys: []plan.SortKey{{Expr: &plan.ColRef{Idx: 0, Typ: vector.Int64}}}}, child: child()}
-	if err := sortop.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sortop.Next(); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("sort: err = %v, want ErrCancelled", err)
-	}
-
-	agg := &hashAggOp{spec: &plan.Aggregate{}, child: child()}
-	if err := agg.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agg.Next(); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("agg: err = %v, want ErrCancelled", err)
-	}
-
-	dist := &distinctOp{child: child()}
-	if err := dist.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dist.Next(); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("distinct: err = %v, want ErrCancelled", err)
-	}
-
-	filt := &filterOp{pred: &plan.Const{Val: vector.NewBool(false), Typ: vector.Bool}, child: child()}
-	if err := filt.Open(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := filt.Next(); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("filter: err = %v, want ErrCancelled", err)
+	for name, shape := range shapes {
+		t.Run(name, func(t *testing.T) {
+			streams := make(chan *ChunkStream, 1)
+			var calls atomic.Int64
+			cancelFirst := &core.ScalarFunc{
+				Name: "cancel_first",
+				Eval: func(args []*vector.Vector) (*vector.Vector, error) {
+					if calls.Add(1) == 1 {
+						s := <-streams
+						s.Cancel()
+					}
+					return vector.FromBools(make([]bool, args[0].Len())), nil
+				},
+			}
+			in := &plan.Filter{
+				Pred:  &plan.Call{Fn: cancelFirst, Args: []plan.Expr{col}, Typ: vector.Bool},
+				Child: &plan.Material{Data: bigMaterialTable(t, 10_000), Schem: catalog.Schema{{Name: "x", Type: vector.Int64}}},
+			}
+			s, err := Stream(shape(in), &Context{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			streams <- s
+			if _, err := s.Next(); !errors.Is(err, ErrCancelled) {
+				t.Fatalf("err = %v, want ErrCancelled", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := calls.Load(); got != 1 {
+				t.Fatalf("predicate ran over %d morsels after cancellation, want 1", got)
+			}
+		})
 	}
 }
 

@@ -1,99 +1,24 @@
-// Sort operators: the serial sortOp and the morsel-parallel
-// parallelSortOp, both built on the shared run machinery in merge.go.
-// Run generation accumulates rows (spilling whole sorted runs to disk
-// when the query's memory budget is exceeded, and keeping only the
-// top-k rows when a LIMIT bounds the observable output); a loser-tree
-// merge then streams fully sorted chunks incrementally. The global
-// input position tiebreak makes every configuration — serial or
-// parallel, in-memory or spilled, any worker count, any budget —
-// byte-identical to a serial stable sort.
+// The ORDER BY operator, built on the shared run machinery in
+// merge.go. Run generation drains the input pipeline on the worker
+// pool, each worker accumulating rows in its own run builder (spilling
+// whole sorted runs to disk when the query's memory budget is
+// exceeded, and keeping only the top-k rows when a LIMIT bounds the
+// observable output); a loser-tree merge then streams fully sorted
+// chunks incrementally. The global input position tiebreak makes every
+// configuration — any worker count, in-memory or spilled, any budget —
+// byte-identical to a stable sort of the input.
 package exec
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"vexdb/internal/plan"
 	"vexdb/internal/spill"
 	"vexdb/internal/vector"
 )
 
-// ----------------------------------------------------------------- serial
-
-// sortOp is the serial ORDER BY operator. It drains its child into a
-// run builder (external runs under memory pressure, top-k compaction
-// under a LIMIT hint) and streams the merged output.
-type sortOp struct {
-	spec   *plan.Sort
-	child  Operator
-	ctx    *Context
-	merger *runMerger
-	done   bool
-}
-
-func (s *sortOp) Open(ctx *Context) error {
-	s.ctx = ctx
-	s.merger = nil
-	s.done = false
-	return s.child.Open(ctx)
-}
-
-func (s *sortOp) Next() (*vector.Chunk, error) {
-	if s.done {
-		return nil, nil
-	}
-	if s.merger == nil {
-		b := newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
-		var rows int64
-		for {
-			if s.ctx.interrupted() {
-				return nil, ErrCancelled
-			}
-			ch, err := s.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if ch == nil {
-				break
-			}
-			if err := b.add(ch, rows); err != nil {
-				return nil, err
-			}
-			rows += int64(ch.NumRows())
-		}
-		runs, file, err := b.finish()
-		var files []*spill.File
-		if file != nil {
-			files = append(files, file)
-		}
-		if err != nil {
-			releaseFiles(files)
-			return nil, err
-		}
-		s.merger = newRunMerger(s.ctx, s.spec.Keys, runs, s.spec.Limit, files, b.heldBytes())
-	}
-	ch, err := s.merger.next(s.ctx)
-	if err != nil {
-		return nil, err
-	}
-	if ch == nil {
-		s.done = true
-	}
-	return ch, nil
-}
-
-func (s *sortOp) Close() error {
-	s.merger.close()
-	return s.child.Close()
-}
-
-// ----------------------------------------------------------------- parallel
-
-// parallelSortOp is the morsel-parallel ORDER BY operator: run
-// generation fans out over the worker pool (each worker owning a run
-// builder that spills under budget pressure), then Next streams merged
-// chunks off the loser tree, observing cancellation between merge
-// batches and stopping early once the plan's LIMIT bound is met.
+// parallelSortOp is the ORDER BY operator: run generation fans out
+// over the worker pool, then Next streams merged chunks off the loser
+// tree, observing cancellation between merge batches and stopping
+// early once the plan's LIMIT bound is met.
 type parallelSortOp struct {
 	spec    *plan.Sort
 	pipe    *pipeSpec
@@ -104,11 +29,25 @@ type parallelSortOp struct {
 	merger  *runMerger
 }
 
+// buildSortOp builds a sort over child's pipeline; own is the sort's
+// worker count. UDFs in key expressions pin one worker: run generation
+// would evaluate them concurrently.
+func buildSortOp(spec *plan.Sort, workers, own int) (Operator, error) {
+	pipe, err := buildPipe(spec.Child, workers)
+	if err != nil {
+		return nil, err
+	}
+	if exprsHaveUDF(sortKeyExprs(spec.Keys)) {
+		own = 1
+	}
+	return &parallelSortOp{spec: spec, pipe: pipe, workers: own}, nil
+}
+
 func (s *parallelSortOp) Open(ctx *Context) error {
 	s.ctx = ctx
 	s.started = false
 	s.merger = nil
-	return nil
+	return s.pipe.open(ctx)
 }
 
 func (s *parallelSortOp) Next() (*vector.Chunk, error) {
@@ -127,102 +66,44 @@ func (s *parallelSortOp) Next() (*vector.Chunk, error) {
 	return s.merger.next(s.ctx)
 }
 
-// buildRuns drains the input morsel-parallel into sorted runs: each
-// worker accumulates claimed morsels in its own builder, spilling
-// sorted runs whenever the shared budget is exceeded, and closes with
-// one final in-memory run. Workers observe cancellation between
-// morsels; a cancelled drain surfaces ErrCancelled rather than
-// merging a partial input.
+// buildRuns drains the input into sorted runs: each worker accumulates
+// claimed morsels in its own builder, spilling sorted runs whenever
+// the shared budget is exceeded, and closes with one final in-memory
+// run. A failed or cancelled drain releases everything the builders
+// hold rather than merging a partial input.
 func (s *parallelSortOp) buildRuns() ([]*mergeRun, []*spill.File, int64, error) {
-	n := s.pipe.src.open(s.ctx)
-	workers := s.workers
+	workers := s.pipe.width(s.workers)
 	if cap := sortRunCap; cap >= 1 && workers > cap {
 		workers = cap
 	}
-	if workers > n {
-		workers = n
+	builders := make([]*runBuilder, workers)
+	runs := make([][]*mergeRun, workers)
+	for w := range builders {
+		builders[w] = newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
 	}
-	if workers < 1 {
-		return nil, nil, 0, nil
+	err := s.pipe.drain(s.ctx, workers, func(w, i int, ch *vector.Chunk) error {
+		return builders[w].add(ch, int64(i)<<32)
+	}, func(w int) (err error) {
+		runs[w], _, err = builders[w].finish()
+		return err
+	})
+	if cerr := s.pipe.src.close(); err == nil {
+		err = cerr
 	}
-	perWorker := make([][]*mergeRun, workers)
-	perWorkerFile := make([]*spill.File, workers)
-	perWorkerHeld := make([]int64, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			b := newRunBuilder(s.ctx, s.spec.Keys, s.spec.Limit, "sort")
-			var sc pipeScratch
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stop.Load() || s.ctx.interrupted() {
-					break
-				}
-				ch, err := s.pipe.src.fetch(i)
-				if err == nil {
-					ch, err = s.pipe.apply(ch, &sc)
-				}
-				if err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				if ch == nil || ch.NumRows() == 0 {
-					continue
-				}
-				if err := b.add(ch, int64(i)<<32); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
-			runs, file, err := b.finish()
-			perWorkerFile[w] = file
-			perWorkerHeld[w] = b.heldBytes()
-			if err != nil {
-				errs[w] = err
-				stop.Store(true)
-				return
-			}
-			perWorker[w] = runs
-		}(w)
-	}
-	wg.Wait()
-	s.pipe.src.finish()
 	var all []*mergeRun
 	var files []*spill.File
 	var held int64
-	for _, runs := range perWorker {
-		all = append(all, runs...)
-	}
-	for _, f := range perWorkerFile {
-		if f != nil {
-			files = append(files, f)
+	for w, b := range builders {
+		all = append(all, runs[w]...)
+		if b.file != nil {
+			files = append(files, b.file)
 		}
+		held += b.heldBytes()
 	}
-	for _, h := range perWorkerHeld {
-		held += h
-	}
-	abort := func() {
+	if err != nil {
 		releaseFiles(files)
 		s.ctx.memShrink(held)
-	}
-	for _, err := range errs {
-		if err != nil {
-			abort()
-			return nil, nil, 0, err
-		}
-	}
-	if s.ctx.interrupted() {
-		// Workers stopped mid-input; a merge over partial runs would
-		// silently drop rows.
-		abort()
-		return nil, nil, 0, ErrCancelled
+		return nil, nil, 0, err
 	}
 	return all, files, held, nil
 }
@@ -235,11 +116,11 @@ func releaseFiles(files []*spill.File) {
 
 func (s *parallelSortOp) Close() error {
 	// Run generation joins its workers before buildRuns returns, so
-	// nothing is in flight here; finish is idempotent and flushes scan
-	// accounting when the stream is abandoned before the first Next.
-	s.pipe.src.finish()
+	// nothing is in flight here; closing the input is idempotent and
+	// flushes scan accounting when the stream is abandoned before the
+	// first Next.
 	s.merger.close()
-	return nil
+	return s.pipe.src.close()
 }
 
 var _ Operator = (*parallelSortOp)(nil)

@@ -406,10 +406,11 @@ func TestSpillCleanupOnCancelAndError(t *testing.T) {
 	assertTempDirEmpty(t, dir2)
 }
 
-// TestSpillDistinctMatchesInMemory: serial DISTINCT must produce the
-// same rows in the same (first-appearance) order under a tiny budget,
-// across all three key-index representations (single int key, single
-// string key, generic multi-column), and leave no temp files behind.
+// TestSpillDistinctMatchesInMemory: one-worker DISTINCT, which runs as
+// a grouping aggregation, must produce the same rows in the same
+// (first-appearance) order under a tiny budget, across all three
+// key-index representations (single int key, single string key,
+// generic multi-column), and leave no temp files behind.
 func TestSpillDistinctMatchesInMemory(t *testing.T) {
 	tab := buildSpillTable(t, 4*vector.DefaultChunkSize)
 	cases := []struct {
@@ -439,9 +440,9 @@ func TestSpillDistinctMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestSpillDistinctStreamed: the spilled remainder must stream through
-// ChunkStream (the server path) and still clean up its temp files on
-// early Close.
+// TestSpillDistinctStreamed: a spilled one-worker DISTINCT must stream
+// through ChunkStream (the server path) and still clean up its temp
+// files on early Close.
 func TestSpillDistinctStreamed(t *testing.T) {
 	tab := buildSpillTable(t, 4*vector.DefaultChunkSize)
 	node := plan.Node(&plan.Distinct{Child: &plan.Scan{Table: tab, Projection: []int{1}}})

@@ -16,7 +16,7 @@ var ErrCancelled = errors.New("exec: query cancelled")
 
 // ChunkStream is the streaming form of Run: the root operator's output
 // is pulled one chunk at a time instead of materialized into a table.
-// Chunks come out in the exact order serial execution would produce.
+// Chunks come out in the exact order a one-worker run produces.
 //
 // Next and Close must be called from the consuming goroutine. Cancel
 // may be called from any goroutine (e.g. a server shutting down a

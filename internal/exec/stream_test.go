@@ -80,7 +80,9 @@ type countingSource struct {
 	delay   time.Duration
 }
 
-func (c *countingSource) open(*Context) int { return (c.rows + c.perMors - 1) / c.perMors }
+func (c *countingSource) open(*Context) (int, error) {
+	return (c.rows + c.perMors - 1) / c.perMors, nil
+}
 
 func (c *countingSource) fetch(i int) (*vector.Chunk, error) {
 	c.fetches.Add(1)
@@ -99,7 +101,7 @@ func (c *countingSource) fetch(i int) (*vector.Chunk, error) {
 	return vector.NewChunk(vector.FromInt64s(vals)), nil
 }
 
-func (c *countingSource) finish() {}
+func (c *countingSource) close() error { return nil }
 
 // Abandoning a stream early (client disconnect) must stop workers with
 // bounded extra fetches: at most consumed + run-ahead window + one
@@ -156,7 +158,7 @@ func TestChunkStreamCancelUnblocksNext(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, total := src.fetches.Load(), int64(src.open(nil)); got >= total {
+	if got, total := src.fetches.Load(), int64((src.rows+src.perMors-1)/src.perMors); got >= total {
 		t.Fatalf("all %d morsels fetched despite cancel", total)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // against the declared schema, and streams it out in chunks.
 type tableFuncOp struct {
 	spec *plan.TableFuncScan
-	out  *materialOp
+	out  *materialSource // the function's result, emitted chunk by chunk
+	pos  int
 }
 
 func newTableFuncOp(spec *plan.TableFuncScan) (Operator, error) {
@@ -64,15 +65,17 @@ func (t *tableFuncOp) Open(ctx *Context) error {
 			out.Cols[i] = cc
 		}
 	}
-	t.out = &materialOp{data: out}
-	return t.out.Open(ctx)
+	t.out, t.pos = &materialSource{data: out}, 0
+	_, err = t.out.open(ctx)
+	return err
 }
 
 func (t *tableFuncOp) Next() (*vector.Chunk, error) {
-	if t.out == nil {
+	if t.out == nil || t.pos >= t.out.n {
 		return nil, nil
 	}
-	return t.out.Next()
+	t.pos++
+	return t.out.fetch(t.pos - 1)
 }
 
 func (t *tableFuncOp) Close() error { return nil }

@@ -1,7 +1,7 @@
 // EXPLAIN rendering: a plan tree formats as an indented operator
 // outline annotated with the cost-based planner's decisions — join
 // order (tree shape), build sides (a hash join always builds on its
-// right child), estimated cardinalities, serial-vs-parallel pinning,
+// right child), estimated cardinalities, one-worker ("serial") pins,
 // and spill fan-out sizing. With actuals enabled (EXPLAIN ANALYZE),
 // each annotated operator also reports the rows it really emitted,
 // collected through the Tap counters the engine installs before the
@@ -144,8 +144,9 @@ func render(b *strings.Builder, n Node, depth int, act bool) {
 }
 
 // hintSuffix renders an operator's planner annotations: estimated (and
-// with act, actual) rows, the serial/parallel pin, and — for operators
-// that can grace-partition (fanout) — the sized spill fan-out.
+// with act, actual) rows, the one-worker ("serial") pin, and — for
+// operators that can grace-partition (fanout) — the sized spill
+// fan-out.
 func hintSuffix(h *ExecHints, fanout, act bool) string {
 	var parts []string
 	parts = append(parts, fmt.Sprintf("est=%d", h.EstRows))

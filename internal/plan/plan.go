@@ -37,8 +37,10 @@ type ExecHints struct {
 	// EstRows is the planner's output-cardinality estimate; 0 means
 	// unknown. Used for EXPLAIN and for sizing decisions.
 	EstRows int64
-	// Serial forces single-worker execution of this operator when the
-	// estimated input is too small to amortize parallel setup.
+	// Serial runs this operator — and the scan/filter/project stages
+	// it absorbs — with one worker, because the estimated input is too
+	// small to amortize fanning out. It selects a worker count, not a
+	// different implementation; EXPLAIN renders it as "serial".
 	Serial bool
 	// FanoutLog2 overrides the first-level spill partition fan-out
 	// (log2 of the partition count); 0 keeps the default.

@@ -633,10 +633,9 @@ func decodeDict(rows int, payload []byte, dst *vector.Vector) (*vector.Vector, e
 // Decode materializes the sealed column. Raw columns return their
 // cached vector zero-copy (decoding it from the disk payload at most
 // once). Compressed columns decode into dst's backing arrays when it
-// is non-nil and type-compatible — the prefetching scan passes
-// recycled buffers here — and into fresh storage otherwise; either
-// way the result is a new Vector header, so callers that recycle must
-// track the returned vector (see ColumnStore.SegmentInto).
+// is non-nil and type-compatible, and into fresh storage otherwise;
+// either way the result is a new Vector header, so callers that
+// recycle buffers must track the returned vector.
 func (c *SealedColumn) Decode(dst *vector.Vector) (*vector.Vector, error) {
 	switch c.Enc {
 	case EncRaw:

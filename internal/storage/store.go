@@ -155,22 +155,12 @@ func (t *TableSnapshot) Zones(i int) []ZoneMap {
 // column indexes (nil projects all), as a chunk. Sealed raw columns
 // are returned zero-copy; compressed columns are decoded.
 func (t *TableSnapshot) Segment(i int, projection []int) (*vector.Chunk, error) {
-	return t.SegmentInto(i, projection, nil)
-}
-
-// SegmentInto is Segment with optional reusable decode buffers: when
-// bufs is non-nil it must have one (possibly nil) vector per
-// projected column; compressed columns decode into the corresponding
-// buffer instead of allocating. The returned chunk may alias both the
-// buffers and store-owned raw vectors, and is valid until the buffers
-// are reused.
-func (t *TableSnapshot) SegmentInto(i int, projection []int, bufs []*vector.Vector) (*vector.Chunk, error) {
 	seg := t.v.segs[i]
 	if sealed := seg.sealed; sealed != nil {
 		if projection == nil {
 			cols := make([]*vector.Vector, len(sealed))
 			for j, sc := range sealed {
-				v, err := decodeRecycling(sc, bufs, j)
+				v, err := sc.Decode(nil)
 				if err != nil {
 					return nil, fmt.Errorf("storage: segment %d column %d: %w", i, j, err)
 				}
@@ -180,7 +170,7 @@ func (t *TableSnapshot) SegmentInto(i int, projection []int, bufs []*vector.Vect
 		}
 		cols := make([]*vector.Vector, len(projection))
 		for j, p := range projection {
-			v, err := decodeRecycling(sealed[p], bufs, j)
+			v, err := sealed[p].Decode(nil)
 			if err != nil {
 				return nil, fmt.Errorf("storage: segment %d column %d: %w", i, p, err)
 			}
@@ -427,32 +417,6 @@ func (s *ColumnStore) NumSegments() int { return s.Snapshot().NumSegments() }
 // TableSnapshot.Segment.
 func (s *ColumnStore) Segment(i int, projection []int) (*vector.Chunk, error) {
 	return s.Snapshot().Segment(i, projection)
-}
-
-// SegmentInto is Segment with reusable decode buffers; see
-// TableSnapshot.SegmentInto.
-func (s *ColumnStore) SegmentInto(i int, projection []int, bufs []*vector.Vector) (*vector.Chunk, error) {
-	return s.Snapshot().SegmentInto(i, projection, bufs)
-}
-
-// decodeRecycling decodes one sealed column through the caller's
-// buffer slot j. Decoded (non-raw) vectors are written back into the
-// slot so the next decode reuses their backing arrays; raw columns
-// bypass the slot entirely — their cached vector is store-owned and
-// must never be handed out as a scratch buffer.
-func decodeRecycling(sc *SealedColumn, bufs []*vector.Vector, j int) (*vector.Vector, error) {
-	var buf *vector.Vector
-	if j < len(bufs) {
-		buf = bufs[j]
-	}
-	v, err := sc.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	if sc.Enc != EncRaw && j < len(bufs) {
-		bufs[j] = v
-	}
-	return v, nil
 }
 
 // Zones returns the zone maps of segment i's columns of the current

@@ -2,7 +2,6 @@ package vexdb
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"testing"
 
 	"vexdb/ml"
@@ -101,44 +100,5 @@ func TestModelCacheHitReturnsSameInstance(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("identical blob bytes missed the cache")
-	}
-}
-
-// TestPredictCachedEndToEnd drives predict_cached through SQL so the
-// verified cache sits on the real PREDICT path.
-func TestPredictCachedEndToEnd(t *testing.T) {
-	db := Open()
-	if _, err := db.Exec("CREATE TABLE d (f0 DOUBLE, f1 DOUBLE, label INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		cls := 0
-		if i%2 == 1 {
-			cls = 1
-		}
-		if _, err := db.Exec(fmt.Sprintf(
-			"INSERT INTO d VALUES (%d.0, %d.5, %d)", i%7, (i*3)%5, cls)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := db.ExecScript(`
-		CREATE TABLE models AS SELECT model FROM train_tree((SELECT f0, f1, label FROM d), 6)`); err != nil {
-		t.Fatal(err)
-	}
-	q := `SELECT count(*) AS n FROM d, models WHERE predict_cached(model, f0, f1) >= 0`
-	tab, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Column("n").Get(0).Int64() != 40 {
-		t.Fatalf("predict_cached covered %d rows, want 40", tab.Column("n").Get(0).Int64())
-	}
-	// Second run hits the cache; results must be identical.
-	tab2, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab2.Column("n").Get(0).Int64() != 40 {
-		t.Fatal("cached run diverged")
 	}
 }

@@ -116,7 +116,7 @@ func BenchmarkFullScanCompressed(b *testing.B) {
 }
 
 // BenchmarkMicroSortParallel: 200k-row ORDER BY through run generation
-// + loser-tree merge. workers=1 is the serial sortOp baseline; on a
+// + loser-tree merge. workers=1 is the one-worker baseline; on a
 // multi-core machine workers=8 shows the run-sort fan-out, on a
 // 1-core CI box it must at least hold parity.
 func BenchmarkMicroSortParallel(b *testing.B) {
@@ -187,12 +187,12 @@ func BenchmarkMicroDistinctAggParallel(b *testing.B) {
 	}
 }
 
-// Tables returned by NextTable must own their columns: the serial
-// prefetching scan recycles decode buffers, so retaining earlier
-// tables across iterations must not see them overwritten.
+// Tables returned by NextTable must own their columns: retaining
+// earlier tables across iterations must not see them overwritten while
+// the one-worker scan decodes ahead.
 func TestNextTableRetainsDataAcrossIteration(t *testing.T) {
 	db := Open()
-	db.SetParallelism(1) // serial scan path (the one that recycles)
+	db.SetParallelism(1) // one worker: the run-ahead worker decodes ahead
 	loadSortedEvents(t, db, 20_000)
 	r, err := db.QueryStream("SELECT id FROM events")
 	if err != nil {
