@@ -1,11 +1,8 @@
 package exec
 
 import (
-	"fmt"
-
 	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
-	"vexdb/internal/sql"
 	"vexdb/internal/vector"
 )
 
@@ -31,11 +28,8 @@ type hashJoinOp struct {
 	one       *oneWorker
 	ctx       *Context
 
-	build    *vector.Chunk // materialized right input
-	buildIdx map[string][]int
-	// buildIdx64 is the fast path for a single integer equi-key.
-	buildIdx64 map[int64][]int32
-	done       bool
+	ix   *joinIndex // the whole build side, unless it spilled
+	done bool
 
 	// spill is non-nil once the build side grace-partitioned to disk
 	// under the memory budget (join_spill.go); probing then runs
@@ -63,142 +57,32 @@ func buildHashJoinOp(spec *plan.HashJoin, workers, own int) (Operator, error) {
 	return &hashJoinOp{spec: spec, right: right, probePipe: pipe, workers: own}, nil
 }
 
+// Open drains the right input through loadBuild: one index over the
+// whole build side, or — once it outgrows the memory budget — the
+// grace-partitioned spill state.
 func (j *hashJoinOp) Open(ctx *Context) error {
 	j.done = false
 	j.ctx = ctx
 	j.drv, j.one = nil, nil
-	j.spill = nil
-	j.spillMerger = nil
+	j.ix, j.spill, j.spillMerger = nil, nil, nil
 	if err := j.right.Open(ctx); err != nil {
 		return err
 	}
-	build, js, err := j.drainBuild(ctx)
+	ix, js, err := loadBuild(ctx, j.spec, 0, 0, func() (*vector.Chunk, []int64, error) {
+		ch, err := j.right.Next()
+		return ch, nil, err
+	})
+	j.ix, j.spill = ix, js
 	if err != nil {
 		return err
 	}
 	if js != nil {
-		j.spill = js
-		if err := js.finishBuild(); err != nil {
-			return err
-		}
 		// Under spill the probe drains in spillProbe rather than
 		// through the ordered driver: the order-restoring sort makes
 		// output order independent of probe scheduling.
 		return j.probePipe.open(ctx)
 	}
-	j.build = build
-	j.buildIdx = nil
-	j.buildIdx64 = nil
-	if build.NumCols() == 0 || build.NumRows() == 0 {
-		j.buildIdx = map[string][]int{}
-		return j.openProbe(ctx)
-	}
-	keyVecs := make([]*vector.Vector, len(j.spec.RightKeys))
-	for i, k := range j.spec.RightKeys {
-		v, err := Evaluate(k, build)
-		if err != nil {
-			return err
-		}
-		keyVecs[i] = v
-	}
-	leftIntKey := len(j.spec.LeftKeys) == 1 &&
-		(j.spec.LeftKeys[0].Type() == vector.Int64 || j.spec.LeftKeys[0].Type() == vector.Int32)
-	if len(keyVecs) == 1 && isIntKey(keyVecs[0]) && leftIntKey {
-		j.buildIdx64 = make(map[int64][]int32, build.NumRows())
-		kv := keyVecs[0]
-		for r := 0; r < build.NumRows(); r++ {
-			if kv.IsNull(r) {
-				continue // NULL keys never match
-			}
-			k := intKeyAt(kv, r)
-			j.buildIdx64[k] = append(j.buildIdx64[k], int32(r))
-		}
-		return j.openProbe(ctx)
-	}
-	j.buildIdx = make(map[string][]int, build.NumRows())
-	var key []byte
-	for r := 0; r < build.NumRows(); r++ {
-		key = key[:0]
-		null := false
-		for _, kv := range keyVecs {
-			if kv.IsNull(r) {
-				null = true
-				break
-			}
-			key = appendRowKey(key, kv, r)
-		}
-		if null {
-			continue // NULL keys never match
-		}
-		j.buildIdx[string(key)] = append(j.buildIdx[string(key)], r)
-	}
 	return j.openProbe(ctx)
-}
-
-// drainBuild materializes the right input. Under a memory budget (and
-// for joins that can grace-partition at all) it accounts the build
-// footprint as it grows and switches to partitioned spill the moment
-// the budget is exceeded, returning the spill state instead of a
-// build chunk.
-func (j *hashJoinOp) drainBuild(ctx *Context) (*vector.Chunk, *joinSpill, error) {
-	if !ctx.spillEnabled() || !spillableJoin(j.spec) {
-		ch, err := drain(j.right, ctx)
-		return ch, nil, err
-	}
-	intKey := joinIntKey(j.spec)
-	var acc []*vector.Vector
-	var bytes int64
-	var js *joinSpill
-	for {
-		if ctx.interrupted() {
-			return nil, nil, ErrCancelled
-		}
-		ch, err := j.right.Next()
-		if err != nil {
-			return nil, nil, err
-		}
-		if ch == nil {
-			break
-		}
-		if ch.NumRows() == 0 {
-			continue
-		}
-		if js != nil {
-			if err := js.addBuildChunk(ch); err != nil {
-				return nil, nil, err
-			}
-			if err := js.spillUntilFits(); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		if acc == nil {
-			acc = make([]*vector.Vector, ch.NumCols())
-			for i := range acc {
-				acc[i] = vector.New(ch.Col(i).Type(), ch.NumRows())
-			}
-		}
-		for i := range acc {
-			acc[i].AppendVector(ch.Col(i))
-		}
-		b := chunkBytes(ch)
-		bytes += b
-		ctx.memGrow(b)
-		if ctx.shouldSpill(bytes) {
-			js, err = newJoinSpill(ctx, j.spec, acc, bytes, intKey)
-			if err != nil {
-				return nil, nil, err
-			}
-			acc = nil
-		}
-	}
-	if js != nil {
-		return nil, js, nil
-	}
-	if acc == nil {
-		return vector.NewChunk(), nil, nil
-	}
-	return vector.NewChunk(acc...), nil, nil
 }
 
 // spillProbe drains the probe pipeline through the partitioned path:
@@ -215,7 +99,11 @@ func (j *hashJoinOp) spillProbe() error {
 		states[w] = js.newProbeState()
 	}
 	err := j.probePipe.drain(j.ctx, len(states), func(w, i int, ch *vector.Chunk) error {
-		return js.probeChunk(ch, i, states[w])
+		tags := make([]int64, ch.NumRows())
+		for r := range tags {
+			tags[r] = int64(i)<<32 | int64(r)
+		}
+		return js.probeChunk(ch, tags, states[w])
 	}, nil)
 	if cerr := j.probePipe.src.close(); err == nil {
 		err = cerr
@@ -274,17 +162,6 @@ func (j *hashJoinOp) openProbe(ctx *Context) error {
 	return nil
 }
 
-func isIntKey(v *vector.Vector) bool {
-	return v.Type() == vector.Int64 || v.Type() == vector.Int32
-}
-
-func intKeyAt(v *vector.Vector, r int) int64 {
-	if v.Type() == vector.Int64 {
-		return v.Int64s()[r]
-	}
-	return int64(v.Int32s()[r])
-}
-
 func (j *hashJoinOp) Next() (*vector.Chunk, error) {
 	if j.done {
 		return nil, nil
@@ -311,133 +188,26 @@ func (j *hashJoinOp) Next() (*vector.Chunk, error) {
 	}
 }
 
+// probe joins one probe chunk in memory: the matched rows, then the
+// LEFT join's unmatched and residual-rejected rows NULL-padded.
 func (j *hashJoinOp) probe(ch *vector.Chunk) (*vector.Chunk, error) {
-	n := ch.NumRows()
-	keyVecs := make([]*vector.Vector, len(j.spec.LeftKeys))
-	for i, k := range j.spec.LeftKeys {
-		v, err := Evaluate(k, ch)
-		if err != nil {
-			return nil, err
-		}
-		keyVecs[i] = v
+	keyVecs, err := evalKeys(j.spec.LeftKeys, ch)
+	if err != nil {
+		return nil, err
 	}
-	var leftSel, rightSel []int
-	var unmatched []int
-	var key []byte
-	noKeys := len(j.spec.LeftKeys) == 0
-	var allRight []int
-	if noKeys {
-		allRight = make([]int, j.build.NumRows())
-		for i := range allRight {
-			allRight[i] = i
-		}
+	m, err := j.ix.match(ch, keyVecs, nil)
+	if err != nil {
+		return nil, err
 	}
-	for r := 0; r < n; r++ {
-		matched := false
-		switch {
-		case noKeys:
-			for _, m := range allRight {
-				leftSel = append(leftSel, r)
-				rightSel = append(rightSel, m)
-			}
-			matched = len(allRight) > 0
-		case j.buildIdx64 != nil:
-			kv := keyVecs[0]
-			if !kv.IsNull(r) {
-				for _, m := range j.buildIdx64[intKeyAt(kv, r)] {
-					leftSel = append(leftSel, r)
-					rightSel = append(rightSel, int(m))
-					matched = true
-				}
-			}
-		default:
-			key = key[:0]
-			null := false
-			for _, kv := range keyVecs {
-				if kv.IsNull(r) {
-					null = true
-					break
-				}
-				key = appendRowKey(key, kv, r)
-			}
-			if !null {
-				for _, m := range j.buildIdx[string(key)] {
-					leftSel = append(leftSel, r)
-					rightSel = append(rightSel, m)
-					matched = true
-				}
-			}
-		}
-		if !matched && j.spec.Kind == sql.LeftJoin {
-			unmatched = append(unmatched, r)
-		}
+	if pad := append(m.unmatched, m.rejected...); len(pad) > 0 {
+		return concatChunks(m.joined, padRightNull(j.spec.Right.Schema(), ch, pad)), nil
 	}
-
-	leftCols := ch.Gather(leftSel).Cols()
-	rightCols := j.gatherBuild(rightSel)
-	joined := vector.NewChunk(append(leftCols, rightCols...)...)
-
-	if j.spec.Extra != nil && joined.NumRows() > 0 {
-		pred, err := Evaluate(j.spec.Extra, joined)
-		if err != nil {
-			return nil, err
-		}
-		if pred.Type() != vector.Bool {
-			return nil, fmt.Errorf("exec: join condition must be boolean, got %s", pred.Type())
-		}
-		sel := make([]int, 0, joined.NumRows())
-		keep := make(map[int]bool) // left rows that survived the residual
-		for i := 0; i < joined.NumRows(); i++ {
-			if !pred.IsNull(i) && pred.Bools()[i] {
-				sel = append(sel, i)
-				keep[leftSel[i]] = true
-			}
-		}
-		if j.spec.Kind == sql.LeftJoin {
-			// Left rows whose every match failed the residual are
-			// emitted null-padded.
-			seen := make(map[int]bool)
-			for _, l := range leftSel {
-				if !seen[l] && !keep[l] {
-					unmatched = append(unmatched, l)
-				}
-				seen[l] = true
-			}
-		}
-		joined = joined.Gather(sel)
-	}
-
-	if j.spec.Kind == sql.LeftJoin && len(unmatched) > 0 {
-		padded := j.padUnmatched(ch, unmatched)
-		joined = concatChunks(joined, padded)
-	}
-	return joined, nil
-}
-
-// gatherBuild gathers build-side rows; with an empty build relation it
-// synthesizes empty columns of the right schema's types.
-func (j *hashJoinOp) gatherBuild(sel []int) []*vector.Vector {
-	if j.build.NumCols() > 0 {
-		return j.build.Gather(sel).Cols()
-	}
-	rightSchema := j.spec.Right.Schema()
-	cols := make([]*vector.Vector, len(rightSchema))
-	for i, c := range rightSchema {
-		cols[i] = vector.New(c.Type, 0)
-	}
-	return cols
-}
-
-// padUnmatched builds output rows for unmatched left rows with NULL
-// right columns.
-func (j *hashJoinOp) padUnmatched(ch *vector.Chunk, rows []int) *vector.Chunk {
-	return padRightNull(j.spec.Right.Schema(), ch, rows)
+	return m.joined, nil
 }
 
 // padRightNull gathers the selected left rows and pads the right
-// schema's columns with NULLs — the LEFT-join padding shape shared by
-// the in-memory probe and the spilled join (which must stay
-// byte-identical to each other).
+// schema's columns with NULLs — the LEFT-join padding shape of both
+// the in-memory probe and the spilled join.
 func padRightNull(rightSchema catalog.Schema, ch *vector.Chunk, rows []int) *vector.Chunk {
 	leftCols := ch.Gather(rows).Cols()
 	rightCols := make([]*vector.Vector, len(rightSchema))
@@ -452,7 +222,7 @@ func padRightNull(rightSchema catalog.Schema, ch *vector.Chunk, rows []int) *vec
 }
 
 func concatChunks(a, b *vector.Chunk) *vector.Chunk {
-	if a.NumCols() == 0 || a.NumRows() == 0 {
+	if a.NumRows() == 0 {
 		return b
 	}
 	if b.NumRows() == 0 {

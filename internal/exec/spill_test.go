@@ -8,6 +8,7 @@ import (
 
 	"vexdb/internal/catalog"
 	"vexdb/internal/plan"
+	"vexdb/internal/spill"
 	"vexdb/internal/sql"
 	"vexdb/internal/vector"
 )
@@ -242,7 +243,9 @@ func TestSortTopKBoundedBuffer(t *testing.T) {
 
 // buildJoinTables creates a probe table and a build table whose keys
 // overlap partially (multiple matches per key, NULL keys on both
-// sides).
+// sides). The probe side is [pid, pk, pv, pi, pt]: pi is pk as an
+// INTEGER and pt a low-cardinality VARCHAR with its own NULLs, so
+// (pk, pt) = (bk, bt) is a two-column key.
 func buildJoinTables(t *testing.T, probeRows, buildRows int) (probe, build *catalog.Table) {
 	t.Helper()
 	cat := catalog.New()
@@ -250,6 +253,8 @@ func buildJoinTables(t *testing.T, probeRows, buildRows int) (probe, build *cata
 		{Name: "pid", Type: vector.Int64},
 		{Name: "pk", Type: vector.Int64},
 		{Name: "pv", Type: vector.String},
+		{Name: "pi", Type: vector.Int32},
+		{Name: "pt", Type: vector.String},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,85 +262,299 @@ func buildJoinTables(t *testing.T, probeRows, buildRows int) (probe, build *cata
 	pid := make([]int64, probeRows)
 	pk := vector.New(vector.Int64, probeRows)
 	pv := make([]string, probeRows)
+	pi := vector.New(vector.Int32, probeRows)
+	pt := vector.New(vector.String, probeRows)
 	for i := 0; i < probeRows; i++ {
 		pid[i] = int64(i)
 		if i%19 == 4 {
 			pk.AppendValue(vector.Null())
+			pi.AppendValue(vector.Null())
 		} else {
-			pk.AppendValue(vector.NewInt64(int64((i * 7) % (buildRows * 2))))
+			k := (i * 7) % (buildRows * 2)
+			pk.AppendValue(vector.NewInt64(int64(k)))
+			pi.AppendValue(vector.NewInt32(int32(k)))
+		}
+		if i%11 == 2 {
+			pt.AppendValue(vector.Null())
+		} else {
+			pt.AppendValue(vector.NewString(fmt.Sprintf("t%d", i%3)))
 		}
 		pv[i] = "p" + string(rune('a'+i%26))
 	}
-	if err := p.Data.AppendChunk(vector.NewChunk(vector.FromInt64s(pid), pk, vector.FromStrings(pv))); err != nil {
+	if err := p.Data.AppendChunk(vector.NewChunk(vector.FromInt64s(pid), pk, vector.FromStrings(pv), pi, pt)); err != nil {
 		t.Fatal(err)
 	}
-	b, err := cat.CreateTable("b", catalog.Schema{
+	b := buildSideTable(t, cat, "b", buildRows, func(i int) vector.Value {
+		if i%23 == 7 {
+			return vector.Null()
+		}
+		return vector.NewInt64(int64(i % (buildRows * 3 / 4))) // dup keys
+	})
+	return p, b
+}
+
+// buildSideTable creates a build table [bk, bv, bs, bt] of n rows with
+// key(i) as bk; bt is a low-cardinality VARCHAR with its own NULLs.
+func buildSideTable(t *testing.T, cat *catalog.Catalog, name string, n int, key func(i int) vector.Value) *catalog.Table {
+	t.Helper()
+	b, err := cat.CreateTable(name, catalog.Schema{
 		{Name: "bk", Type: vector.Int64},
 		{Name: "bv", Type: vector.Int64},
 		{Name: "bs", Type: vector.String},
+		{Name: "bt", Type: vector.String},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bk := vector.New(vector.Int64, buildRows)
-	bv := make([]int64, buildRows)
-	bs := make([]string, buildRows)
-	for i := 0; i < buildRows; i++ {
-		if i%23 == 7 {
-			bk.AppendValue(vector.Null())
-		} else {
-			bk.AppendValue(vector.NewInt64(int64(i % (buildRows * 3 / 4)))) // dup keys
-		}
+	bk := vector.New(vector.Int64, n)
+	bv := make([]int64, n)
+	bs := make([]string, n)
+	bt := vector.New(vector.String, n)
+	for i := 0; i < n; i++ {
+		bk.AppendValue(key(i))
 		bv[i] = int64(i)
 		bs[i] = "b" + string(rune('a'+i%26))
+		if i%13 == 5 {
+			bt.AppendValue(vector.Null())
+		} else {
+			bt.AppendValue(vector.NewString(fmt.Sprintf("t%d", i%3)))
+		}
 	}
-	if err := b.Data.AppendChunk(vector.NewChunk(bk, vector.FromInt64s(bv), vector.FromStrings(bs))); err != nil {
-		t.Fatal(err)
+	if n > 0 {
+		if err := b.Data.AppendChunk(vector.NewChunk(bk, vector.FromInt64s(bv), vector.FromStrings(bs), bt)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return p, b
+	return b
 }
 
-// TestSpillJoinMatchesInMemory: a grace-partitioned join (build side
-// spilled, probe re-partitioned, output order restored by the tag
-// sort) must be byte-identical to the in-memory join for inner and
-// LEFT joins, with and without a residual ON conjunct, at workers
-// 1/2/8.
+// refJoin is a nested-loop oracle for the hash join's output, in the
+// order the engine emits it: per probe chunk of DefaultChunkSize rows,
+// matched rows by (probe row, build row), then for LEFT joins the
+// probe rows with no key match, then the rows whose every match the
+// residual rejected, each NULL-padded. Keys compare with SQL equality
+// (NULL never matches); extra, when non-nil, is the residual over
+// (probe row, build row).
+func refJoin(t *testing.T, probe, build *catalog.Table, kind sql.JoinKind, lk, rk []int, extra func(p, b int, pt, bt *vector.Table) bool) [][]string {
+	t.Helper()
+	pt := runPlan(t, &plan.Scan{Table: probe}, &Context{Parallelism: 1})
+	bt := runPlan(t, &plan.Scan{Table: build}, &Context{Parallelism: 1})
+	nb := len(build.Schema)
+	row := func(p, b int) []string {
+		var out []string
+		for c := range pt.Cols {
+			out = append(out, pt.Cols[c].Get(p).String())
+		}
+		for c := 0; c < nb; c++ {
+			if b < 0 {
+				out = append(out, "NULL")
+			} else {
+				out = append(out, bt.Cols[c].Get(b).String())
+			}
+		}
+		return out
+	}
+	// Equal keys render equally: integers of either width print as
+	// decimals, and the type prefix keeps strings apart from them.
+	keyOf := func(tab *vector.Table, cols []int, r int) (string, bool) {
+		k := ""
+		for _, c := range cols {
+			v := tab.Cols[c].Get(r)
+			if v.IsNull() {
+				return "", false
+			}
+			k += fmt.Sprintf("%v:%s|", v.Type() == vector.String, v)
+		}
+		return k, true
+	}
+	index := map[string][]int{}
+	for b := 0; b < bt.NumRows(); b++ {
+		if k, ok := keyOf(bt, rk, b); ok {
+			index[k] = append(index[k], b)
+		}
+	}
+	var out [][]string
+	for from := 0; from < pt.NumRows(); from += vector.DefaultChunkSize {
+		to := min(from+vector.DefaultChunkSize, pt.NumRows())
+		var unmatched, rejected []int
+		for p := from; p < to; p++ {
+			keyed, kept := false, false
+			k, ok := keyOf(pt, lk, p)
+			for _, b := range index[k] {
+				if !ok {
+					break
+				}
+				keyed = true
+				if extra == nil || extra(p, b, pt, bt) {
+					kept = true
+					out = append(out, row(p, b))
+				}
+			}
+			switch {
+			case kind != sql.LeftJoin || kept:
+			case keyed:
+				rejected = append(rejected, p)
+			default:
+				unmatched = append(unmatched, p)
+			}
+		}
+		for _, p := range append(unmatched, rejected...) {
+			out = append(out, row(p, -1))
+		}
+	}
+	return out
+}
+
+// assertTableRows compares a result with oracle rows cell by cell.
+func assertTableRows(t *testing.T, got *vector.Table, want [][]string, label string) {
+	t.Helper()
+	if got.NumRows() != len(want) {
+		t.Fatalf("%s: got %d rows, want %d", label, got.NumRows(), len(want))
+	}
+	for r, w := range want {
+		if got.NumCols() != len(w) {
+			t.Fatalf("%s: got %d cols, want %d", label, got.NumCols(), len(w))
+		}
+		for c := range w {
+			if g := got.Cols[c].Get(r).String(); g != w[c] {
+				t.Fatalf("%s: row %d col %d: %s, want %s", label, r, c, g, w[c])
+			}
+		}
+	}
+}
+
+// TestSpillJoinMatchesInMemory: the hash join must match a nested-loop
+// oracle row for row, and a grace-partitioned run (build side spilled,
+// probe re-partitioned, output order restored by the tag sort) must be
+// byte-identical to the in-memory one, for inner and LEFT joins with
+// and without a residual ON conjunct, at workers 1/2/8. The cases
+// cover the single-integer key fast path (BIGINT and INTEGER ⋈
+// BIGINT), the generic two-column key with NULLs in either column, a
+// skewed build whose hot key recurses to the depth cap, a planner
+// fan-out hint, and — in memory at any budget — a keyless cross join
+// and an empty build side. The probe side mixes no-match, NULL-key and
+// residual-rejected rows in every chunk.
 func TestSpillJoinMatchesInMemory(t *testing.T) {
 	probe, build := buildJoinTables(t, 3*vector.DefaultChunkSize, 2*vector.DefaultChunkSize)
+	cat := catalog.New()
+	skew := buildSideTable(t, cat, "skew", 2*vector.DefaultChunkSize, func(i int) vector.Value {
+		if i%3 != 0 {
+			return vector.NewInt64(42) // hot key: its partition never fits 8KB
+		}
+		return vector.NewInt64(int64(i))
+	})
+	small := buildSideTable(t, cat, "small", 7, func(i int) vector.Value { return vector.NewInt64(int64(i)) })
+	empty := buildSideTable(t, cat, "empty", 0, nil)
+
+	const bvCol = 6 // b.bv in the combined [pid, pk, pv, pi, pt, bk, bv, bs, bt] schema
 	residual := &plan.BinOp{
 		Op:   sql.OpGt,
-		Left: &plan.ColRef{Idx: 4, Typ: vector.Int64}, // b.bv (combined schema)
+		Left: &plan.ColRef{Idx: bvCol, Typ: vector.Int64},
 		// Residual keeps roughly half the matches.
 		Right: &plan.Const{Val: vector.NewInt64(int64(vector.DefaultChunkSize)), Typ: vector.Int64},
 		Typ:   vector.Bool,
 	}
-	for _, kind := range []sql.JoinKind{sql.InnerJoin, sql.LeftJoin} {
-		for _, withExtra := range []bool{false, true} {
-			node := plan.Node(&plan.HashJoin{
-				Kind:      kind,
-				Left:      &plan.Scan{Table: probe},
-				Right:     &plan.Scan{Table: build},
-				LeftKeys:  []plan.Expr{colRef(1, vector.Int64)},
-				RightKeys: []plan.Expr{colRef(0, vector.Int64)},
-			})
-			if withExtra {
-				node.(*plan.HashJoin).Extra = residual
-			}
-			want := runPlan(t, node, &Context{Parallelism: 1})
-			for _, workers := range []int{1, 2, 8} {
-				for _, budget := range []int64{1 << 13, 1 << 16} { // 8KB forces recursion
-					ctx, dir := spillCtx(t, workers, budget)
-					got := runPlan(t, node, ctx)
-					assertTablesEqual(t, got, want,
-						fmt.Sprintf("join spill kind=%v extra=%v workers=%d budget=%d", kind, withExtra, workers, budget))
-					if ctx.Spill.Partitions() == 0 {
-						t.Fatalf("kind=%v extra=%v workers=%d budget=%d: no partitions spilled",
-							kind, withExtra, workers, budget)
+	refResidual := func(p, b int, _, bt *vector.Table) bool {
+		return bt.Cols[1].Int64s()[b] > int64(vector.DefaultChunkSize)
+	}
+	probeTypes := []vector.Type{vector.Int64, vector.Int64, vector.String, vector.Int32, vector.String}
+	buildTypes := []vector.Type{vector.Int64, vector.Int64, vector.String, vector.String}
+	cases := []struct {
+		name    string
+		build   *catalog.Table
+		lk, rk  []int
+		fanout  int
+		spills  bool // a budgeted run must grace-partition
+		recurse bool // spilled partitions must re-partition
+	}{
+		{name: "bigint", build: build, lk: []int{1}, rk: []int{0}, spills: true},
+		{name: "integer-bigint", build: build, lk: []int{3}, rk: []int{0}, spills: true},
+		{name: "bigint-varchar", build: build, lk: []int{1, 4}, rk: []int{0, 3}, spills: true},
+		{name: "skewed", build: skew, lk: []int{1}, rk: []int{0}, spills: true, recurse: true},
+		{name: "fanout64", build: build, lk: []int{1}, rk: []int{0}, fanout: 6, spills: true},
+		{name: "cross", build: small},
+		{name: "empty", build: empty, lk: []int{1}, rk: []int{0}},
+		{name: "empty-cross", build: empty},
+	}
+	for _, tc := range cases {
+		for _, kind := range []sql.JoinKind{sql.InnerJoin, sql.LeftJoin} {
+			for _, withExtra := range []bool{false, true} {
+				label := fmt.Sprintf("%s kind=%v extra=%v", tc.name, kind, withExtra)
+				t.Run(label, func(t *testing.T) {
+					newNode := func() *plan.HashJoin {
+						j := &plan.HashJoin{
+							Kind:  kind,
+							Left:  &plan.Scan{Table: probe},
+							Right: &plan.Scan{Table: tc.build},
+							Hints: plan.ExecHints{FanoutLog2: tc.fanout, Tap: &plan.NodeStats{}},
+						}
+						for i := range tc.lk {
+							j.LeftKeys = append(j.LeftKeys, colRef(tc.lk[i], probeTypes[tc.lk[i]]))
+							j.RightKeys = append(j.RightKeys, colRef(tc.rk[i], buildTypes[tc.rk[i]]))
+						}
+						if withExtra {
+							j.Extra = residual
+						}
+						return j
 					}
-					assertTempDirEmpty(t, dir)
-				}
+					var extra func(p, b int, pt, bt *vector.Table) bool
+					if withExtra {
+						extra = refResidual
+					}
+					want := refJoin(t, probe, tc.build, kind, tc.lk, tc.rk, extra)
+					for _, workers := range []int{1, 2, 8} {
+						assertTableRows(t, runPlan(t, newNode(), &Context{Parallelism: workers}), want,
+							fmt.Sprintf("%s workers=%d in memory", label, workers))
+						for _, budget := range []int64{1 << 13, 1 << 16} { // 8KB forces recursion
+							node := newNode()
+							ctx, dir := spillCtx(t, workers, budget)
+							assertTableRows(t, runPlan(t, node, ctx), want,
+								fmt.Sprintf("%s workers=%d budget=%d", label, workers, budget))
+							if spilled := ctx.Spill.Partitions() > 0; spilled != tc.spills {
+								t.Fatalf("%s workers=%d budget=%d: spilled=%v, want %v", label, workers, budget, spilled, tc.spills)
+							}
+							if tc.recurse && budget == 1<<13 && ctx.Spill.Partitions() <= node.Hints.Tap.SpillSpilled.Load() {
+								t.Fatalf("%s workers=%d: %d partitions, %d at level 0: no recursion",
+									label, workers, ctx.Spill.Partitions(), node.Hints.Tap.SpillSpilled.Load())
+							}
+							assertTempDirEmpty(t, dir)
+						}
+					}
+				})
 			}
 		}
+	}
+}
+
+// TestJoinBuildChargesTracker: every join build — not only a
+// partitionable equi-join's — is charged to the query's memory tracker
+// once Open has drained it, so the other operators of the query see
+// it. A cross join over the same build side holds the same bytes.
+func TestJoinBuildChargesTracker(t *testing.T) {
+	probe, build := buildJoinTables(t, vector.DefaultChunkSize, vector.DefaultChunkSize)
+	held := func(keys bool) int64 {
+		j := &plan.HashJoin{Kind: sql.InnerJoin, Left: &plan.Scan{Table: probe}, Right: &plan.Scan{Table: build}}
+		if keys {
+			j.LeftKeys = []plan.Expr{colRef(1, vector.Int64)}
+			j.RightKeys = []plan.Expr{colRef(0, vector.Int64)}
+		}
+		ctx := &Context{Parallelism: 1, MemoryBudget: 1 << 30, Spill: &SpillStats{}}
+		ctx.mem = newMemTracker(ctx.MemoryBudget)
+		ctx.spillMgr = spill.NewManager(t.TempDir(), ctx.Spill)
+		defer ctx.spillMgr.Close()
+		op, err := buildWith(j, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer op.Close()
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return ctx.mem.used.Load()
+	}
+	equi, cross := held(true), held(false)
+	if equi <= 0 || cross != equi {
+		t.Fatalf("tracked build bytes: equi-join %d, cross join %d; want equal and positive", equi, cross)
 	}
 }
 

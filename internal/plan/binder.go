@@ -63,8 +63,30 @@ func (s *scope) resolve(qual, name string) (int, vector.Type, error) {
 	return found, typ, nil
 }
 
-// BindSelect binds a SELECT statement into a plan node.
+// BindSelect binds a SELECT statement into a plan node. An untyped
+// (all-NULL) output column takes the type of the first UNION arm whose
+// column is typed, and otherwise resolves to VARCHAR, as an all-NULL
+// CASE does.
 func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
+	untyped := func(int) vector.Type { return vector.String }
+	if sel.Union != nil {
+		types, err := b.unionTypes(sel)
+		if err != nil {
+			return nil, err
+		}
+		untyped = func(i int) vector.Type {
+			if i < len(types) {
+				return types[i]
+			}
+			return vector.String
+		}
+	}
+	return b.bindSelect(sel, untyped)
+}
+
+// bindSelect binds sel; untyped(i) is the type output column i takes
+// when its expression is untyped (Invalid leaves it untyped).
+func (b *Binder) bindSelect(sel *sql.Select, untyped func(i int) vector.Type) (Node, error) {
 	node, sc, err := b.bindFromClause(sel)
 	if err != nil {
 		return nil, err
@@ -102,10 +124,10 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		}
 	}
 
-	var projNode Node
+	var proj *Project
 	var outNames []string
 	if needAgg {
-		projNode, outNames, err = b.bindAggregate(sel, items, node, sc)
+		proj, outNames, err = b.bindAggregate(sel, items, node, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -120,16 +142,21 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 			exprs[i] = e
 			outNames[i] = itemName(it, e)
 		}
-		projNode = &Project{Exprs: exprs, Names: outNames, Child: node}
+		proj = &Project{Exprs: exprs, Names: outNames, Child: node}
 	}
-	node = projNode
+	for i, e := range proj.Exprs {
+		if t := untyped(i); e.Type() == vector.Invalid && t != vector.Invalid {
+			proj.Exprs[i] = typeAs(e, t)
+		}
+	}
+	node = proj
 
 	if sel.Distinct {
 		node = &Distinct{Child: node}
 	}
 
 	if sel.Union != nil {
-		right, err := b.BindSelect(sel.Union)
+		right, err := b.bindSelect(sel.Union, untyped)
 		if err != nil {
 			return nil, err
 		}
@@ -194,6 +221,42 @@ func (b *Binder) BindSelect(sel *sql.Select) (Node, error) {
 		node = &Limit{Count: count, Offset: offset, Child: node}
 	}
 	return node, nil
+}
+
+// unionTypes returns a UNION's column types: per column, the type of
+// the first arm whose column is typed, else VARCHAR.
+func (b *Binder) unionTypes(sel *sql.Select) ([]vector.Type, error) {
+	var types []vector.Type
+	for arm := sel; arm != nil; arm = arm.Union {
+		one := *arm
+		one.Union = nil
+		node, err := b.bindSelect(&one, func(int) vector.Type { return vector.Invalid })
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range node.Schema() {
+			if i == len(types) {
+				types = append(types, vector.Invalid)
+			}
+			if types[i] == vector.Invalid {
+				types[i] = c.Type
+			}
+		}
+	}
+	for i, t := range types {
+		if t == vector.Invalid {
+			types[i] = vector.String
+		}
+	}
+	return types, nil
+}
+
+// typeAs gives an untyped (all-NULL) expression the type t.
+func typeAs(e Expr, t vector.Type) Expr {
+	if c, ok := e.(*Const); ok {
+		return &Const{Val: c.Val, Typ: t}
+	}
+	return &Cast{Operand: e, To: t}
 }
 
 // pushSortLimit annotates the Sort directly under node (through 1:1
@@ -287,15 +350,36 @@ func (b *Binder) tryBindEquiKey(c sql.Expr, left, right *scope) (Expr, Expr, boo
 	}
 	if lk, err := b.bindExpr(be.Left, left, false); err == nil {
 		if rk, err := b.bindExpr(be.Right, right, false); err == nil {
+			lk, rk = coerceKeys(lk, rk)
 			return lk, rk, true
 		}
 	}
 	if lk, err := b.bindExpr(be.Right, left, false); err == nil {
 		if rk, err := b.bindExpr(be.Left, right, false); err == nil {
+			lk, rk = coerceKeys(lk, rk)
 			return lk, rk, true
 		}
 	}
 	return nil, nil, false
+}
+
+// coerceKeys casts the narrower side of an equi-key pair of different
+// numeric types to their common type. Join keys hash type-tagged, so
+// without it 1 (BIGINT) and 1.0 (DOUBLE) would never meet, although
+// the same predicate in WHERE compares them equal.
+func coerceKeys(lk, rk Expr) (Expr, Expr) {
+	lt, rt := lk.Type(), rk.Type()
+	t, ok := vector.CommonNumeric(lt, rt)
+	if lt == rt || !ok {
+		return lk, rk
+	}
+	if lt != t {
+		lk = &Cast{Operand: lk, To: t}
+	}
+	if rt != t {
+		rk = &Cast{Operand: rk, To: t}
+	}
+	return lk, rk
 }
 
 func (b *Binder) bindTableRef(ref sql.TableRef) (Node, *scope, error) {

@@ -12,7 +12,7 @@ import (
 // bindAggregate builds an Aggregate node plus the post-aggregation
 // projection (and HAVING filter). Select items must be group-by
 // expressions, aggregates, or expressions over those.
-func (b *Binder) bindAggregate(sel *sql.Select, items []sql.SelectItem, child Node, sc *scope) (Node, []string, error) {
+func (b *Binder) bindAggregate(sel *sql.Select, items []sql.SelectItem, child Node, sc *scope) (*Project, []string, error) {
 	agg := &Aggregate{Child: child}
 
 	// Bind group-by expressions over the child scope.
@@ -20,6 +20,9 @@ func (b *Binder) bindAggregate(sel *sql.Select, items []sql.SelectItem, child No
 		bg, err := b.bindExpr(g, sc, false)
 		if err != nil {
 			return nil, nil, fmt.Errorf("in GROUP BY: %w", err)
+		}
+		if bg.Type() == vector.Invalid {
+			bg = typeAs(bg, vector.String)
 		}
 		name := ExprString(bg)
 		if cr, ok := g.(*sql.ColumnRef); ok {
@@ -261,7 +264,10 @@ func (b *Binder) bindAggCall(fc *sql.FuncCall, sc *scope) (AggSpec, error) {
 			return AggSpec{}, fmt.Errorf("plan: sum requires a numeric argument, got %s", arg.Type())
 		}
 	case AggMin, AggMax:
-		spec.Typ = arg.Type()
+		if arg.Type() == vector.Invalid {
+			spec.Arg = typeAs(arg, vector.String)
+		}
+		spec.Typ = spec.Arg.Type()
 	}
 	return spec, nil
 }

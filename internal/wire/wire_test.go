@@ -638,3 +638,36 @@ func TestDesyncLatchRefusesReuse(t *testing.T) {
 		t.Fatalf("desync not latched: %v", err)
 	}
 }
+
+// TestUntypedNullKeepsServerUp: an all-NULL output column streams as a
+// typed (VARCHAR) column under every protocol, and the server keeps
+// answering the same connection and new ones afterwards.
+func TestUntypedNullKeepsServerUp(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, proto := range []Protocol{TextRows, BinaryRows, Columnar} {
+		tab, err := c.Query(proto, "SELECT NULL")
+		if err != nil {
+			t.Fatalf("proto %d: SELECT NULL: %v", proto, err)
+		}
+		if tab.NumRows() != 1 || !tab.Cols[0].IsNull(0) {
+			t.Fatalf("proto %d: SELECT NULL returned %d rows", proto, tab.NumRows())
+		}
+		tab, err = c.Query(proto, "SELECT count(*) AS n FROM t")
+		if err != nil || tab.Cols[0].Get(0).Int64() != 500 {
+			t.Fatalf("proto %d: follow-up query: %v", proto, err)
+		}
+	}
+	c2, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if _, err := c2.Query(Columnar, "SELECT id, NULL FROM t"); err != nil {
+		t.Fatalf("new connection: %v", err)
+	}
+}

@@ -157,6 +157,34 @@ func BenchmarkMicroAggregateSpill(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroHashJoinSpill measures the 200k-row-build hash join
+// (spillSmokeQueries[1]) at an unlimited vs. a 4MB budget
+// (grace-partitioned build, order-restoring tag sort).
+func BenchmarkMicroHashJoinSpill(b *testing.B) {
+	const rows = 200_000
+	for _, budget := range []int64{0, 4 << 20} {
+		name := "unlimited"
+		if budget > 0 {
+			name = "budget4MB"
+		}
+		b.Run(name, func(b *testing.B) {
+			dir := b.TempDir()
+			db := OpenOptions(Options{MemoryBudget: budget, TempDir: dir})
+			loadSpillWorkload(b, db, rows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tab, err := db.Query(spillSmokeQueries[1])
+				if err != nil {
+					b.Fatal(err)
+				}
+				if tab.NumRows() == 0 {
+					b.Fatal("empty result")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkMicroSortSpill measures the 200k-row full ORDER BY at an
 // unlimited vs. 4MB budget (external sorted runs + streaming merge).
 func BenchmarkMicroSortSpill(b *testing.B) {
