@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vexdb/internal/vector"
@@ -92,4 +93,74 @@ func TestUntypedNullColumns(t *testing.T) {
 			assertSameRows(t, label+" "+tc.q, fingerprintTable(tab), tc.rows)
 		}
 	})
+}
+
+// TestFloatJoinKeysMatchWhere: DOUBLE equi-join keys -0.0 and +0.0 are
+// equal under =, so ON must pair them as WHERE does — in memory and in
+// spilled grace partitions (a 64 KiB budget with 20,000 filler rows per
+// side) at workers 1/2/8. NULL keys never match. NaN keys are pinned
+// as they behave today: ON pairs NaN keys with the same bit pattern,
+// while WHERE's NaN = NaN is false.
+func TestFloatJoinKeysMatchWhere(t *testing.T) {
+	db := New()
+	mustExec(t, db, "CREATE TABLE fa (k DOUBLE, t VARCHAR)")
+	mustExec(t, db, "CREATE TABLE fb (k DOUBLE, t VARCHAR)")
+	negZero := math.Copysign(0, -1)
+	special := map[string][]vector.Value{
+		"fa": {vector.NewFloat64(0), vector.NewFloat64(negZero), vector.Null(), vector.NewFloat64(math.NaN()), vector.NewFloat64(1)},
+		"fb": {vector.NewFloat64(0), vector.NewFloat64(1), vector.Null(), vector.NewFloat64(math.NaN()), vector.NewFloat64(negZero)},
+	}
+	tags := map[string][]string{
+		"fa": {"a+0", "a-0", "anull", "anan", "a1"},
+		"fb": {"b+0", "b1", "bnull", "bnan", "b-0"},
+	}
+	for _, name := range []string{"fa", "fb"} {
+		tbl, err := db.cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range special[name] {
+			if err := tbl.Data.AppendRow([]vector.Value{k, vector.NewString(tags[name][i])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			if err := tbl.Data.AppendRow([]vector.Value{vector.NewFloat64(float64(i + 2)), vector.NewString("f")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const (
+		on    = "SELECT fa.t, fb.t FROM fa JOIN fb ON fa.k = fb.k WHERE fa.t <> 'f' ORDER BY fa.t, fb.t"
+		left  = "SELECT fa.t, fb.t FROM fa LEFT JOIN fb ON fa.k = fb.k WHERE fa.t <> 'f' ORDER BY fa.t, fb.t"
+		where = `SELECT x.t, y.t FROM (SELECT * FROM fa WHERE t <> 'f') x JOIN (SELECT * FROM fb WHERE t <> 'f') y
+			ON 1 = 1 WHERE x.k = y.k ORDER BY x.t, y.t`
+		count = "SELECT count(*) FROM fa JOIN fb ON fa.k = fb.k"
+	)
+	zeros := []string{"a+0|b+0|", "a+0|b-0|", "a-0|b+0|", "a-0|b-0|", "a1|b1|"}
+	db.TempDir = t.TempDir()
+	defer func() { db.Parallelism, db.MemoryBudget = 0, 0 }()
+	for _, workers := range []int{1, 2, 8} {
+		for _, budget := range []int64{0, 64 << 10} {
+			db.Parallelism, db.MemoryBudget = workers, budget
+			label := fmt.Sprintf("workers=%d budget=%d", workers, budget)
+			assertSameRows(t, label+" WHERE", queryFingerprint(t, db, where, false), zeros)
+			assertSameRows(t, label+" ON", queryFingerprint(t, db, on, false), append(zeros[:5:5], "anan|bnan|"))
+			assertSameRows(t, label+" LEFT", queryFingerprint(t, db, left, true),
+				append(zeros[:5:5], "anan|bnan|", "anull|N|"))
+
+			rs, err := db.Query(count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := rs.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameRows(t, label+" count", fingerprintTable(tab), []string{"20006|"})
+			if spilled := rs.SpillStats().Partitions() > 0; spilled != (budget > 0) {
+				t.Fatalf("%s: join spilled=%v", label, spilled)
+			}
+		}
+	}
 }

@@ -108,11 +108,18 @@ func intKeyAt(v *vector.Vector, r int) int64 {
 }
 
 // appendJoinKey encodes row r's generic equi-key into buf; null
-// reports a NULL key cell (NULL keys never match).
+// reports a NULL key cell (NULL keys never match). A DOUBLE -0.0
+// encodes as +0.0, since = holds between them: the index, the probe
+// and the spill partitioning all read keys through here, so the two
+// zeros meet in memory and in every spilled partition.
 func appendJoinKey(buf []byte, keyVecs []*vector.Vector, r int) (key []byte, null bool) {
 	for _, kv := range keyVecs {
 		if kv.IsNull(r) {
 			return buf, true
+		}
+		if kv.Type() == vector.Float64 && kv.Float64s()[r] == 0 {
+			buf = appendValueKey(buf, vector.NewFloat64(0))
+			continue
 		}
 		buf = appendRowKey(buf, kv, r)
 	}

@@ -54,36 +54,32 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 	return f.FitWorkers(X, y, f.Workers)
 }
 
-// FitWorkers is Fit with an explicit worker count: the trees are
-// partitioned into contiguous ranges, one FitPartial per worker, and
-// the partials merge in tree order. Per-tree seeds derive from the
-// absolute tree index, so the fitted forest is byte-identical at any
-// worker count.
+// FitWorkers is Fit with an explicit worker count: every feature is
+// sorted once (see forestData), the trees are partitioned into
+// contiguous ranges, one range per worker, and the partials merge in
+// tree order. Per-tree seeds derive from the absolute tree index, so
+// the fitted forest is byte-identical at any worker count.
 func (f *RandomForest) FitWorkers(X [][]float64, y []int, workers int) error {
 	if f.NEstimators <= 0 {
 		f.NEstimators = 16
 	}
 	est := f.NEstimators
 	workers = resolveWorkers(workers, est)
+	d, err := newForestData(X, y, workers)
+	if err != nil {
+		f.trees = nil
+		return err
+	}
 	parts := make([]*ForestPartial, workers)
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			lo := w * est / workers
-			hi := (w + 1) * est / workers
-			parts[w], errs[w] = f.FitPartial(X, y, lo, hi)
+			parts[w] = f.fitRange(d, w*est/workers, (w+1)*est/workers)
 		}(w)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			f.trees = nil
-			return err
-		}
-	}
 	return f.MergePartials(parts)
 }
 
@@ -103,21 +99,52 @@ type ForestPartial struct {
 // mergeable partial. It does not mutate the receiver beyond reading
 // hyperparameters, so concurrent partial fits on one forest are safe.
 func (f *RandomForest) FitPartial(X [][]float64, y []int, lo, hi int) (*ForestPartial, error) {
-	n, err := validateXY(X, y)
-	if err != nil {
-		return nil, err
-	}
 	if lo < 0 || hi < lo {
 		return nil, fmt.Errorf("ml: invalid tree range [%d, %d)", lo, hi)
 	}
-	classes, _ := classIndex(y)
-	mtry := f.mtry(len(X))
+	d, err := newForestData(X, y, 1)
+	if err != nil {
+		return nil, err
+	}
+	return f.fitRange(d, lo, hi), nil
+}
+
+// forestData is a forest's training input, prepared once and shared
+// read-only by every tree and worker: each feature's attribute list
+// over all rows (see sortedList).
+type forestData struct {
+	lists   []attrList
+	classes []int
+}
+
+// newForestData validates X, y and sorts the features on up to
+// workers goroutines.
+func newForestData(X [][]float64, y []int, workers int) (*forestData, error) {
+	if err := validateTreeXY(X, y); err != nil {
+		return nil, err
+	}
+	classes, cls := classIndices(y)
+	d := &forestData{lists: make([]attrList, len(X)), classes: classes}
+	parallelMorsels(workers, len(X), func(f int) { d.lists[f] = sortedList(X[f], cls) })
+	return d, nil
+}
+
+// fitRange fits trees [lo, hi) one after another on one builder.
+func (f *RandomForest) fitRange(d *forestData, lo, hi int) *ForestPartial {
+	nfeat, n := len(d.lists), len(d.lists[0].row)
 	part := &ForestPartial{
 		lo: lo, hi: hi,
 		trees:   make([]*DecisionTree, 0, hi-lo),
-		classes: classes,
-		nfeat:   len(X),
+		classes: d.classes,
+		nfeat:   nfeat,
 	}
+	lists := make([]attrList, nfeat)
+	for f := range lists {
+		lists[f] = newAttrList(n)
+	}
+	b := newTreeBuilder(lists, len(d.classes))
+	s := newBootstrapper(n)
+	mtry := f.mtry(nfeat)
 	for ti := lo; ti < hi; ti++ {
 		t := &DecisionTree{
 			MaxDepth:       f.MaxDepth,
@@ -125,13 +152,64 @@ func (f *RandomForest) FitPartial(X [][]float64, y []int, lo, hi int) (*ForestPa
 			MaxFeatures:    mtry,
 			Seed:           f.Seed + int64(ti)*7919,
 		}
-		bx, by := bootstrap(X, y, n, newRNG(f.Seed+int64(ti)*104729+1))
-		if err := t.Fit(bx, by); err != nil {
-			return nil, fmt.Errorf("ml: tree %d: %w", ti, err)
-		}
+		s.fill(b, d, newRNG(f.Seed+int64(ti)*104729+1))
+		b.grow(t, d.classes)
 		part.trees = append(part.trees, t)
 	}
-	return part, nil
+	return part
+}
+
+// bootstrapper derives a tree's attribute lists from the forest's
+// shared ones in O(n) per feature. A tree's samples are its n
+// draws with replacement (draw i takes row rng.Intn(n)), identified by
+// draw position, so a row drawn k times is k samples. The draws are
+// bucketed by row — a CSR whose row r holds the positions
+// pos[start[r]:start[r+1]] — and walking a feature's shared list
+// through the buckets emits the tree's list already sorted.
+type bootstrapper struct {
+	draw  []int32 // row taken by each draw
+	start []int32 // CSR offsets into pos, n+1 entries
+	next  []int32 // per-row fill cursor
+	pos   []int32 // draw positions grouped by row, ascending within a row
+}
+
+func newBootstrapper(n int) *bootstrapper {
+	return &bootstrapper{
+		draw:  make([]int32, n),
+		start: make([]int32, n+1),
+		next:  make([]int32, n),
+		pos:   make([]int32, n),
+	}
+}
+
+// fill draws one bootstrap sample with r and writes its attribute
+// lists into b.
+func (s *bootstrapper) fill(b *treeBuilder, d *forestData, r *rng) {
+	n := len(s.draw)
+	clear(s.start)
+	for i := range s.draw {
+		row := int32(r.Intn(n))
+		s.draw[i] = row
+		s.start[row+1]++
+	}
+	for row := 0; row < n; row++ {
+		s.start[row+1] += s.start[row]
+	}
+	copy(s.next, s.start[:n])
+	for i, row := range s.draw {
+		s.pos[s.next[row]] = int32(i)
+		s.next[row]++
+	}
+	for f, g := range d.lists {
+		l := &b.lists[f]
+		k := 0
+		for j, row := range g.row {
+			for _, p := range s.pos[s.start[row]:s.start[row+1]] {
+				l.row[k], l.val[k], l.cls[k] = p, g.val[j], g.cls[j]
+				k++
+			}
+		}
+	}
 }
 
 // MergePartials assembles partial fits covering tree ranges
@@ -184,28 +262,6 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// bootstrap draws n rows with replacement, materializing the sampled
-// columns (column-major).
-func bootstrap(X [][]float64, y []int, n int, r *rng) ([][]float64, []int) {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = r.Intn(n)
-	}
-	bx := make([][]float64, len(X))
-	for fi, col := range X {
-		sampled := make([]float64, n)
-		for i, s := range idx {
-			sampled[i] = col[s]
-		}
-		bx[fi] = sampled
-	}
-	by := make([]int, n)
-	for i, s := range idx {
-		by[i] = y[s]
-	}
-	return bx, by
 }
 
 // PredictProba implements Classifier: the average of the trees' leaf

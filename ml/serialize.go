@@ -132,16 +132,32 @@ func marshalTree(w *writer, t *DecisionTree) {
 	}
 }
 
-// Unmarshal deserializes a model blob produced by Marshal.
+// CorruptModelError is the error Unmarshal returns for every blob it
+// rejects: a bad header, a truncated or malformed payload, or a model
+// whose structure prediction could not walk safely. Model blobs are
+// read from table cells, so they are untrusted input.
+type CorruptModelError struct {
+	Reason string
+}
+
+func (e *CorruptModelError) Error() string { return "ml: corrupt model blob: " + e.Reason }
+
+func corrupt(format string, args ...any) error {
+	return &CorruptModelError{Reason: fmt.Sprintf(format, args...)}
+}
+
+// Unmarshal deserializes a model blob produced by Marshal. It returns a
+// *CorruptModelError unless the blob decodes completely to a model
+// that passes validateModel.
 func Unmarshal(data []byte) (Classifier, error) {
 	r := &reader{buf: data}
 	var magic [4]byte
 	r.bytes(magic[:])
 	if magic != modelMagic {
-		return nil, fmt.Errorf("ml: bad model magic %q", magic[:])
+		return nil, corrupt("bad magic %q", magic[:])
 	}
 	if v := r.u16(); v != serializeVersion {
-		return nil, fmt.Errorf("ml: unsupported model version %d", v)
+		return nil, corrupt("unsupported version %d", v)
 	}
 	kind := r.u8()
 	var out Classifier
@@ -159,10 +175,7 @@ func Unmarshal(data []byte) (Classifier, error) {
 		f.Seed = r.i64()
 		f.classes = r.ints()
 		f.nfeat = int(r.i64())
-		ntrees := int(r.i64())
-		if ntrees < 0 || ntrees > 1<<20 {
-			return nil, fmt.Errorf("ml: corrupt forest: %d trees", ntrees)
-		}
+		ntrees := r.count(7 * 8)
 		f.trees = make([]*DecisionTree, ntrees)
 		for i := range f.trees {
 			t := &DecisionTree{}
@@ -177,10 +190,7 @@ func Unmarshal(data []byte) (Classifier, error) {
 		m.L2 = r.f64()
 		m.classes = r.ints()
 		m.nfeat = int(r.i64())
-		k := int(r.i64())
-		if k < 0 || k > 1<<20 {
-			return nil, fmt.Errorf("ml: corrupt model: %d weight vectors", k)
-		}
+		k := r.count(8)
 		m.weights = make([][]float64, k)
 		for i := range m.weights {
 			m.weights[i] = r.floats()
@@ -192,10 +202,7 @@ func Unmarshal(data []byte) (Classifier, error) {
 		m.classes = r.ints()
 		m.nfeat = int(r.i64())
 		m.priors = r.floats()
-		k := int(r.i64())
-		if k < 0 || k > 1<<20 {
-			return nil, fmt.Errorf("ml: corrupt model: %d classes", k)
-		}
+		k := r.count(16)
 		m.means = make([][]float64, k)
 		m.vars = make([][]float64, k)
 		for i := 0; i < k; i++ {
@@ -208,10 +215,7 @@ func Unmarshal(data []byte) (Classifier, error) {
 		m.K = int(r.i64())
 		m.classes = r.ints()
 		m.nfeat = int(r.i64())
-		k := int(r.i64())
-		if k < 0 || k > 1<<20 {
-			return nil, fmt.Errorf("ml: corrupt model: %d feature columns", k)
-		}
+		k := r.count(8)
 		m.trainX = make([][]float64, k)
 		for i := range m.trainX {
 			m.trainX[i] = r.floats()
@@ -219,12 +223,121 @@ func Unmarshal(data []byte) (Classifier, error) {
 		m.trainY = r.ints()
 		out = m
 	default:
-		return nil, fmt.Errorf("ml: unknown model kind %d", kind)
+		return nil, corrupt("unknown model kind %d", kind)
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("ml: corrupt model blob: %w", r.err)
+		return nil, corrupt("%v", r.err)
+	}
+	if err := validateModel(out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// validateModel checks the structural invariants every prediction path
+// indexes by, for a decoded model.
+func validateModel(c Classifier) error {
+	switch m := c.(type) {
+	case *DecisionTree:
+		return m.validate()
+	case *RandomForest:
+		if len(m.trees) == 0 {
+			return corrupt("forest has no trees")
+		}
+		for i, t := range m.trees {
+			if len(t.nodes) == 0 {
+				return corrupt("forest tree %d has no nodes", i)
+			}
+			if err := t.validate(); err != nil {
+				return err
+			}
+			if t.nfeat != m.nfeat || !equalInts(t.classes, m.classes) {
+				return corrupt("forest tree %d: shape (%d features, classes %v) differs from the forest's (%d, %v)",
+					i, t.nfeat, t.classes, m.nfeat, m.classes)
+			}
+		}
+	case *LogisticRegression:
+		if m.nfeat < 1 || len(m.classes) == 0 || len(m.weights) != len(m.classes) {
+			return corrupt("logistic regression: %d features, %d classes, %d weight vectors",
+				m.nfeat, len(m.classes), len(m.weights))
+		}
+		for i, w := range m.weights {
+			if len(w) != m.nfeat+1 {
+				return corrupt("logistic regression weight vector %d has %d entries, want %d", i, len(w), m.nfeat+1)
+			}
+		}
+	case *GaussianNB:
+		k := len(m.classes)
+		if m.nfeat < 1 || k == 0 || len(m.priors) != k || len(m.means) != k {
+			return corrupt("naive bayes: %d features, %d classes, %d priors, %d mean vectors",
+				m.nfeat, k, len(m.priors), len(m.means))
+		}
+		for i := range m.means {
+			if len(m.means[i]) != m.nfeat || len(m.vars[i]) != m.nfeat {
+				return corrupt("naive bayes class %d statistics do not cover %d features", i, m.nfeat)
+			}
+		}
+	case *KNN:
+		if m.K < 1 || m.nfeat < 1 || len(m.classes) == 0 || len(m.trainX) != m.nfeat || len(m.trainY) == 0 {
+			return corrupt("knn: k %d, %d features, %d classes, %d columns, %d rows",
+				m.K, m.nfeat, len(m.classes), len(m.trainX), len(m.trainY))
+		}
+		for _, col := range m.trainX {
+			if len(col) != len(m.trainY) {
+				return corrupt("knn column of %d rows, want %d", len(col), len(m.trainY))
+			}
+		}
+		for _, c := range m.trainY {
+			if c < 0 || c >= len(m.classes) {
+				return corrupt("knn class index %d outside %d classes", c, len(m.classes))
+			}
+		}
+	}
+	return nil
+}
+
+// validate checks that a decoded tree is one Marshal could have
+// written: its nodes are in preorder (node i's left child is i+1, its
+// right child follows the left subtree, and the walk from the root
+// visits every node exactly once), split features index the fitted
+// features, and every leaf holds one probability per class. A tree
+// without nodes is unfitted and predicts ErrNotFitted.
+func (t *DecisionTree) validate() error {
+	n := len(t.nodes)
+	if n == 0 {
+		return nil
+	}
+	if t.nfeat < 1 || len(t.classes) == 0 {
+		return corrupt("tree with %d features and %d classes", t.nfeat, len(t.classes))
+	}
+	next := int32(0)
+	stack := []int32{0}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if i != next || int(i) >= n {
+			return corrupt("tree node %d reached where preorder expects node %d of %d", i, next, n)
+		}
+		next++
+		nd := &t.nodes[i]
+		if nd.left < 0 {
+			if len(nd.probs) != len(t.classes) {
+				return corrupt("tree leaf %d has %d probabilities for %d classes", i, len(nd.probs), len(t.classes))
+			}
+			continue
+		}
+		if nd.feature < 0 || int(nd.feature) >= t.nfeat {
+			return corrupt("tree node %d splits on feature %d of %d", i, nd.feature, t.nfeat)
+		}
+		if nd.left != i+1 || nd.right <= nd.left {
+			return corrupt("tree node %d has children %d, %d", i, nd.left, nd.right)
+		}
+		stack = append(stack, nd.right, nd.left)
+	}
+	if int(next) != n {
+		return corrupt("tree reaches %d of its %d nodes", next, n)
+	}
+	return nil
 }
 
 func unmarshalTree(r *reader, t *DecisionTree) {
@@ -234,11 +347,7 @@ func unmarshalTree(r *reader, t *DecisionTree) {
 	t.Seed = r.i64()
 	t.classes = r.ints()
 	t.nfeat = int(r.i64())
-	n := int(r.i64())
-	if n < 0 || n > 1<<28 || r.err != nil {
-		r.fail(fmt.Errorf("corrupt tree: %d nodes", n))
-		return
-	}
+	n := r.count(20)
 	t.nodes = make([]treeNode, n)
 	for i := 0; i < n; i++ {
 		nd := &t.nodes[i]
@@ -310,10 +419,25 @@ func (r *reader) i32() int32       { return int32(binary.LittleEndian.Uint32(r.t
 func (r *reader) i64() int64       { return int64(binary.LittleEndian.Uint64(r.take(8))) }
 func (r *reader) f64() float64     { return math.Float64frombits(binary.LittleEndian.Uint64(r.take(8))) }
 
+// count reads an element count and checks it against the unread bytes,
+// given each element's minimum encoded size, so a hostile count cannot
+// force a large allocation. On failure it records the error and
+// returns 0.
+func (r *reader) count(minSize int) int {
+	n := r.i64()
+	if r.err != nil {
+		return 0
+	}
+	if n < 0 || n > int64((len(r.buf)-r.pos)/minSize) {
+		r.fail(fmt.Errorf("count %d at offset %d exceeds the remaining %d bytes", n, r.pos-8, len(r.buf)-r.pos))
+		return 0
+	}
+	return int(n)
+}
+
 func (r *reader) floats() []float64 {
-	n := int(r.i64())
-	if n < 0 || n > 1<<28 || r.err != nil {
-		r.fail(fmt.Errorf("corrupt float slice length %d", n))
+	n := r.count(8)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]float64, n)
@@ -324,9 +448,8 @@ func (r *reader) floats() []float64 {
 }
 
 func (r *reader) ints() []int {
-	n := int(r.i64())
-	if n < 0 || n > 1<<28 || r.err != nil {
-		r.fail(fmt.Errorf("corrupt int slice length %d", n))
+	n := r.count(8)
+	if r.err != nil {
 		return nil
 	}
 	out := make([]int, n)

@@ -1,14 +1,25 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // DecisionTree is a CART classification tree split on the Gini
 // impurity criterion. The zero value is usable with defaults; set
 // hyperparameters before Fit.
+//
+// Training follows SLIQ/SPRINT (Shafer, Agrawal & Mehta, VLDB 1996):
+// each feature's rows are sorted once into an attribute list, and a
+// node is a range [lo, hi) over every list. Finding a split scans the
+// sampled features' contiguous ranges; applying it stably partitions
+// the other features' ranges in place, so both children's ranges stay
+// sorted and no node ever sorts or gathers. NaN sorts last and no
+// split falls between a finite value and NaN, so NaN rows always go
+// right, as PREDICT's x <= t sends them, and the fitted tree does not
+// depend on the input's row order.
 type DecisionTree struct {
 	// MaxDepth bounds tree depth; 0 means unbounded.
 	MaxDepth int
@@ -49,72 +60,177 @@ func (t *DecisionTree) Classes() []int { return t.classes }
 
 // Fit implements Classifier.
 func (t *DecisionTree) Fit(X [][]float64, y []int) error {
-	n, err := validateXY(X, y)
-	if err != nil {
+	if err := validateTreeXY(X, y); err != nil {
 		return err
 	}
-	classes, cidx := classIndex(y)
-	t.classes = classes
-	t.nfeat = len(X)
-	t.nodes = t.nodes[:0]
-	yi := make([]int, n)
-	for i, c := range y {
-		yi[i] = cidx[c]
+	classes, cls := classIndices(y)
+	lists := make([]attrList, len(X))
+	for f, col := range X {
+		lists[f] = sortedList(col, cls)
 	}
-	samples := make([]int, n)
-	for i := range samples {
-		samples[i] = i
-	}
-	b := &treeBuilder{
-		X: X, y: yi, nclasses: len(classes), tree: t,
-		minLeaf: max(1, t.MinSamplesLeaf),
-		rng:     newRNG(t.Seed + 1),
-	}
-	b.build(samples, 0)
+	newTreeBuilder(lists, len(classes)).grow(t, classes)
 	return nil
 }
 
+// validateTreeXY is validateXY plus the bound of the attribute lists'
+// int32 sample ids.
+func validateTreeXY(X [][]float64, y []int) error {
+	n, err := validateXY(X, y)
+	if err == nil && n > math.MaxInt32 {
+		err = fmt.Errorf("ml: trees fit at most %d rows, got %d", math.MaxInt32, n)
+	}
+	return err
+}
+
+// classIndices returns the sorted class labels and each row's class
+// index.
+func classIndices(y []int) ([]int, []int32) {
+	classes, cidx := classIndex(y)
+	cls := make([]int32, len(y))
+	for i, c := range y {
+		cls[i] = int32(cidx[c])
+	}
+	return classes, cls
+}
+
+// valueRow is one entry of a feature's presort.
+type valueRow struct {
+	v float64
+	r int32
+}
+
+// sortedList returns the attribute list of feature col over all rows:
+// ordered by value with NaN last, equal values by row. The order is
+// total, so it does not depend on the sort algorithm.
+func sortedList(col []float64, cls []int32) attrList {
+	pairs := make([]valueRow, len(col))
+	for i, v := range col {
+		pairs[i] = valueRow{v, int32(i)}
+	}
+	slices.SortFunc(pairs, func(a, b valueRow) int {
+		if c := compareNaNLast(a.v, b.v); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.r, b.r)
+	})
+	l := newAttrList(len(col))
+	for i, p := range pairs {
+		l.row[i], l.val[i], l.cls[i] = p.r, p.v, cls[p.r]
+	}
+	return l
+}
+
+// compareNaNLast orders numbers ascending and NaN after them; -0 and
+// +0 compare equal, as they do under <=.
+func compareNaNLast(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	an, bn := math.IsNaN(a), math.IsNaN(b)
+	switch {
+	case an && !bn:
+		return 1
+	case bn && !an:
+		return -1
+	}
+	return 0
+}
+
+// attrList is one feature's attribute list: a sample id, the
+// feature's value and the class index per sample, as parallel arrays
+// sorted by value with NaN last. A plain tree's samples are its rows;
+// a forest tree's are its bootstrap draws.
+type attrList struct {
+	row []int32
+	val []float64
+	cls []int32
+}
+
+func newAttrList(n int) attrList {
+	return attrList{row: make([]int32, n), val: make([]float64, n), cls: make([]int32, n)}
+}
+
+// treeBuilder grows trees over filled attribute lists. Its buffers are
+// reused by every tree it grows.
 type treeBuilder struct {
-	X        [][]float64
-	y        []int
+	lists    []attrList
+	scratch  attrList // partition buffer for the right-going entries
+	goLeft   []bool   // per sample id: its side of the split being applied
 	nclasses int
 	tree     *DecisionTree
 	minLeaf  int
 	rng      *rng
+
+	featOrder               []int
+	leftCounts, rightCounts []float64
 }
 
-// build grows the subtree over samples and returns its node index.
-func (b *treeBuilder) build(samples []int, depth int) int32 {
-	counts := make([]float64, b.nclasses)
-	for _, s := range samples {
-		counts[b.y[s]]++
+// newTreeBuilder returns a builder over lists, which must all hold the
+// same number of samples.
+func newTreeBuilder(lists []attrList, nclasses int) *treeBuilder {
+	n := len(lists[0].row)
+	return &treeBuilder{
+		lists:       lists,
+		scratch:     newAttrList(n),
+		goLeft:      make([]bool, n),
+		nclasses:    nclasses,
+		featOrder:   make([]int, len(lists)),
+		leftCounts:  make([]float64, nclasses),
+		rightCounts: make([]float64, nclasses),
 	}
-	nodeIdx := int32(len(b.tree.nodes))
-	b.tree.nodes = append(b.tree.nodes, treeNode{left: -1, right: -1})
+}
 
-	pure := 0
+// grow fits t on the samples in the builder's lists. It consumes the
+// lists: partitioning leaves them sorted only within each node.
+func (b *treeBuilder) grow(t *DecisionTree, classes []int) {
+	t.classes = classes
+	t.nfeat = len(b.lists)
+	t.nodes = t.nodes[:0]
+	b.tree = t
+	b.minLeaf = max(1, t.MinSamplesLeaf)
+	b.rng = newRNG(t.Seed + 1)
+	counts := make([]float64, b.nclasses)
+	for _, c := range b.lists[0].cls {
+		counts[c]++
+	}
+	b.build(0, len(b.goLeft), 0, counts)
+}
+
+// isLeaf reports whether a node with these class counts, sample count
+// and depth stops growing.
+func (b *treeBuilder) isLeaf(counts []float64, size, depth int) bool {
+	present := 0
 	for _, c := range counts {
 		if c > 0 {
-			pure++
+			present++
 		}
 	}
-	stop := pure <= 1 ||
+	return present <= 1 ||
 		(b.tree.MaxDepth > 0 && depth >= b.tree.MaxDepth) ||
-		len(samples) < 2*b.minLeaf
-	if !stop {
-		feat, thresh, ok := b.bestSplit(samples, counts)
-		if ok {
-			var left, right []int
-			for _, s := range samples {
-				if b.X[feat][s] <= thresh {
-					left = append(left, s)
-				} else {
-					right = append(right, s)
+		size < 2*b.minLeaf
+}
+
+// build grows the subtree over the samples in [lo, hi), whose class
+// counts are counts, and returns its node index. Nodes are emitted in
+// preorder: a node, its left subtree, then its right subtree.
+func (b *treeBuilder) build(lo, hi, depth int, counts []float64) int32 {
+	nodeIdx := int32(len(b.tree.nodes))
+	b.tree.nodes = append(b.tree.nodes, treeNode{left: -1, right: -1})
+	if !b.isLeaf(counts, hi-lo, depth) {
+		if feat, thresh, ok := b.bestSplit(lo, hi, counts); ok {
+			lc, rc := make([]float64, b.nclasses), make([]float64, b.nclasses)
+			mid := b.mark(lo, hi, feat, thresh, lc, rc)
+			if mid-lo >= b.minLeaf && hi-mid >= b.minLeaf {
+				// Two leaf children read only their counts, so
+				// their ranges need no partitioning.
+				if !b.isLeaf(lc, mid-lo, depth+1) || !b.isLeaf(rc, hi-mid, depth+1) {
+					b.partition(lo, hi, feat)
 				}
-			}
-			if len(left) >= b.minLeaf && len(right) >= b.minLeaf {
-				l := b.build(left, depth+1)
-				r := b.build(right, depth+1)
+				l := b.build(lo, mid, depth+1, lc)
+				r := b.build(mid, hi, depth+1, rc)
 				nd := &b.tree.nodes[nodeIdx]
 				nd.feature = int32(feat)
 				nd.threshold = thresh
@@ -125,7 +241,7 @@ func (b *treeBuilder) build(samples []int, depth int) int32 {
 		}
 	}
 	// Leaf: normalize counts into a class distribution.
-	total := float64(len(samples))
+	total := float64(hi - lo)
 	probs := make([]float64, b.nclasses)
 	for i, c := range counts {
 		probs[i] = c / total
@@ -135,10 +251,16 @@ func (b *treeBuilder) build(samples []int, depth int) int32 {
 }
 
 // bestSplit scans a (possibly random) subset of features for the
-// threshold minimizing weighted Gini impurity.
-func (b *treeBuilder) bestSplit(samples []int, totalCounts []float64) (int, float64, bool) {
-	nfeat := len(b.X)
-	featOrder := make([]int, nfeat)
+// threshold minimizing weighted Gini impurity over [lo, hi). Each
+// feature's range is already sorted, so the scan walks it once,
+// moving one sample at a time from the right counts to the left. Only
+// boundaries between distinct adjacent values are candidates, and the
+// class counts there do not depend on how equal values are ordered.
+// NaN sorts last and the scan stops at the first NaN, so no boundary
+// separates a finite value from NaN.
+func (b *treeBuilder) bestSplit(lo, hi int, totalCounts []float64) (int, float64, bool) {
+	nfeat := len(b.lists)
+	featOrder := b.featOrder
 	for i := range featOrder {
 		featOrder[i] = i
 	}
@@ -152,39 +274,30 @@ func (b *treeBuilder) bestSplit(samples []int, totalCounts []float64) (int, floa
 		}
 	}
 
-	n := float64(len(samples))
+	n := float64(hi - lo)
 	bestGain := 1e-12
 	bestFeat, bestThresh := -1, 0.0
 	parentImp := giniImpurity(totalCounts, n)
-
-	vals := make([]float64, len(samples))
-	order := make([]int, len(samples))
-	leftCounts := make([]float64, b.nclasses)
-	rightCounts := make([]float64, b.nclasses)
+	leftCounts, rightCounts := b.leftCounts, b.rightCounts
 
 	for fi := 0; fi < tryFeats; fi++ {
 		f := featOrder[fi]
-		col := b.X[f]
-		for i, s := range samples {
-			vals[i] = col[s]
-			order[i] = i
-		}
-		sort.Slice(order, func(a, c int) bool { return vals[order[a]] < vals[order[c]] })
-
+		vals := b.lists[f].val[lo:hi]
+		cls := b.lists[f].cls[lo:hi]
 		copy(rightCounts, totalCounts)
-		for i := range leftCounts {
-			leftCounts[i] = 0
-		}
+		clear(leftCounts)
 		nLeft := 0.0
-		for i := 0; i < len(order)-1; i++ {
-			s := samples[order[i]]
-			cls := b.y[s]
-			leftCounts[cls]++
-			rightCounts[cls]--
+		for i := 0; i < len(vals)-1; i++ {
+			c := cls[i]
+			leftCounts[c]++
+			rightCounts[c]--
 			nLeft++
-			v, vNext := vals[order[i]], vals[order[i+1]]
+			v, vNext := vals[i], vals[i+1]
 			if v == vNext {
 				continue // cannot split between equal values
+			}
+			if math.IsNaN(vNext) {
+				break // NaN sorts last; NaN rows always go right
 			}
 			nRight := n - nLeft
 			if int(nLeft) < b.minLeaf || int(nRight) < b.minLeaf {
@@ -203,6 +316,56 @@ func (b *treeBuilder) bestSplit(samples []int, totalCounts []float64) (int, floa
 		return 0, 0, false
 	}
 	return bestFeat, bestThresh, true
+}
+
+// mark records each sample's side of the split value <= thresh on
+// feat, accumulates the children's class counts into lc and rc, and
+// returns the end of the left child's range. The split feature's
+// range is sorted by the tested value with NaN last, so its left
+// samples form a prefix.
+func (b *treeBuilder) mark(lo, hi, feat int, thresh float64, lc, rc []float64) int {
+	l := &b.lists[feat]
+	mid := lo
+	for i := lo; i < hi; i++ {
+		left := l.val[i] <= thresh
+		b.goLeft[l.row[i]] = left
+		if left {
+			lc[l.cls[i]]++
+			mid++
+		} else {
+			rc[l.cls[i]]++
+		}
+	}
+	return mid
+}
+
+// partition stably moves every other feature's left-marked samples in
+// [lo, hi) ahead of the right ones, through the scratch buffer, so
+// each child's range stays sorted. The split feature's range is
+// already partitioned (see mark).
+func (b *treeBuilder) partition(lo, hi, feat int) {
+	sc := &b.scratch
+	goLeft := b.goLeft
+	for f := range b.lists {
+		if f == feat {
+			continue
+		}
+		l := &b.lists[f]
+		rows, vals, cls := l.row[lo:hi], l.val[lo:hi], l.cls[lo:hi]
+		nl, nr := 0, 0
+		for i, r := range rows {
+			if goLeft[r] {
+				rows[nl], vals[nl], cls[nl] = r, vals[i], cls[i]
+				nl++
+			} else {
+				sc.row[nr], sc.val[nr], sc.cls[nr] = r, vals[i], cls[i]
+				nr++
+			}
+		}
+		copy(rows[nl:], sc.row[:nr])
+		copy(vals[nl:], sc.val[:nr])
+		copy(cls[nl:], sc.cls[:nr])
+	}
 }
 
 func giniImpurity(counts []float64, n float64) float64 {
