@@ -11,7 +11,8 @@
 //
 // The ml experiment benchmarks the in-database TRAIN and CLASSIFY
 // paths across worker counts; -json additionally writes the results
-// as a machine-readable file (BENCH_ml.json) for CI tracking. The
+// and the machine that produced them (CPUs, GOMAXPROCS, Go version,
+// commit) as a machine-readable file (BENCH_ml.json) for CI tracking. The
 // plan experiment measures the cost-based planner against the
 // syntactic plan on a skewed multi-join (its -json report is
 // BENCH_plan.json); it exits non-zero unless the cost-based plan is
@@ -23,7 +24,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"time"
 
 	"vexdb/internal/workload"
@@ -197,11 +201,12 @@ func runProtocols(env *workload.Env) error {
 	return nil
 }
 
-// mlBenchJSON is the BENCH_ml.json schema: the pipeline shape plus
-// one entry per worker count with train/classify ns-per-row and the
-// model digest, and the cross-worker determinism verdict.
+// mlBenchJSON is the BENCH_ml.json schema: the machine, the pipeline
+// shape, one entry per worker count with train/classify ns-per-row and
+// the model digest, and the cross-worker determinism verdict.
 type mlBenchJSON struct {
 	Benchmark       string  `json:"benchmark"`
+	Machine         machine `json:"machine"`
 	Voters          int     `json:"voters"`
 	Features        int     `json:"features"`
 	Trees           int     `json:"trees"`
@@ -211,6 +216,56 @@ type mlBenchJSON struct {
 	ClassifyRows    int     `json:"classify_rows"`
 	ModelsIdentical bool    `json:"models_identical"`
 	Runs            []mlRun `json:"runs"`
+}
+
+// machine records where a report was measured: worker counts above
+// CPUs are oversubscribed runs.
+type machine struct {
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
+}
+
+func thisMachine() machine {
+	return machine{
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Commit:     commit(),
+	}
+}
+
+// commit names the source revision: the one stamped into the binary
+// by go build, else the working directory's git HEAD, else "unknown".
+// A revision with uncommitted changes ends in "+dirty".
+func commit() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		rev, dirty := "", false
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+		if rev != "" {
+			if dirty {
+				rev += "+dirty"
+			}
+			return rev
+		}
+	}
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	rev := strings.TrimSpace(string(out))
+	if err := exec.Command("git", "diff", "--quiet", "HEAD").Run(); err != nil {
+		rev += "+dirty"
+	}
+	return rev
 }
 
 type mlRun struct {
@@ -252,6 +307,7 @@ func runML(env *workload.Env, jsonPath string) error {
 	cfg := env.Cfg
 	out := mlBenchJSON{
 		Benchmark:       "voter-classification",
+		Machine:         thisMachine(),
 		Voters:          cfg.Voters,
 		Features:        cfg.Features,
 		Trees:           cfg.Estimators,

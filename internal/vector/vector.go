@@ -510,10 +510,3 @@ func (v *Vector) AsInt32s() ([]int32, error) {
 	}
 	return nil, fmt.Errorf("vector type %s is not an integer type", v.typ)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -142,7 +142,7 @@ func (f *RandomForest) fitRange(d *forestData, lo, hi int) *ForestPartial {
 	for f := range lists {
 		lists[f] = newAttrList(n)
 	}
-	b := newTreeBuilder(lists, len(d.classes))
+	b := newTreeBuilder(lists, n, len(d.classes))
 	s := newBootstrapper(n)
 	mtry := f.mtry(nfeat)
 	for ti := lo; ti < hi; ti++ {
@@ -160,61 +160,53 @@ func (f *RandomForest) fitRange(d *forestData, lo, hi int) *ForestPartial {
 }
 
 // bootstrapper derives a tree's attribute lists from the forest's
-// shared ones in O(n) per feature. A tree's samples are its n
-// draws with replacement (draw i takes row rng.Intn(n)), identified by
-// draw position, so a row drawn k times is k samples. The draws are
-// bucketed by row — a CSR whose row r holds the positions
-// pos[start[r]:start[r+1]] — and walking a feature's shared list
-// through the buckets emits the tree's list already sorted.
+// shared ones in O(n) per feature. A tree's bootstrap is n draws with
+// replacement (draw i takes row rng.Intn(n)); its lists hold each
+// drawn row once, weighted by its number of draws, so they are about
+// 63% as long as the draws. A row drawn k times weighs what k entries
+// of equal value and class would, and no split falls between equal
+// values, so the fitted tree is the one its materialized draws give.
+// Walking a feature's shared list and keeping the drawn rows emits the
+// tree's list already sorted. A row's count can reach n, so weights
+// are full int32s.
 type bootstrapper struct {
-	draw  []int32 // row taken by each draw
-	start []int32 // CSR offsets into pos, n+1 entries
-	next  []int32 // per-row fill cursor
-	pos   []int32 // draw positions grouped by row, ascending within a row
+	count []int32 // draws per row
 }
 
 func newBootstrapper(n int) *bootstrapper {
-	return &bootstrapper{
-		draw:  make([]int32, n),
-		start: make([]int32, n+1),
-		next:  make([]int32, n),
-		pos:   make([]int32, n),
-	}
+	return &bootstrapper{count: make([]int32, n)}
 }
 
 // fill draws one bootstrap sample with r and writes its attribute
 // lists into b.
 func (s *bootstrapper) fill(b *treeBuilder, d *forestData, r *rng) {
-	n := len(s.draw)
-	clear(s.start)
-	for i := range s.draw {
-		row := int32(r.Intn(n))
-		s.draw[i] = row
-		s.start[row+1]++
-	}
-	for row := 0; row < n; row++ {
-		s.start[row+1] += s.start[row]
-	}
-	copy(s.next, s.start[:n])
-	for i, row := range s.draw {
-		s.pos[s.next[row]] = int32(i)
-		s.next[row]++
+	n := len(s.count)
+	clear(s.count)
+	for range n {
+		s.count[r.Intn(n)]++
 	}
 	for f, g := range d.lists {
 		l := &b.lists[f]
+		l.resize(n)
 		k := 0
 		for j, row := range g.row {
-			for _, p := range s.pos[s.start[row]:s.start[row+1]] {
-				l.row[k], l.val[k], l.cls[k] = p, g.val[j], g.cls[j]
+			if c := s.count[row]; c > 0 {
+				l.row[k], l.val[k], l.cls[k], l.wt[k] = row, g.val[j], g.cls[j], c
 				k++
 			}
 		}
+		l.resize(k)
 	}
 }
 
 // MergePartials assembles partial fits covering tree ranges
-// [0, NEstimators) contiguously into the fitted forest.
+// [0, NEstimators) contiguously into the fitted forest. It validates
+// every partial before changing the forest, so a rejected merge leaves
+// it as it was.
 func (f *RandomForest) MergePartials(parts []*ForestPartial) error {
+	if len(parts) == 0 {
+		return fmt.Errorf("ml: no forest partials to merge")
+	}
 	ordered := append([]*ForestPartial(nil), parts...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].lo < ordered[j].lo })
 	trees := make([]*DecisionTree, 0, f.NEstimators)
@@ -223,17 +215,17 @@ func (f *RandomForest) MergePartials(parts []*ForestPartial) error {
 		if p.lo != next {
 			return fmt.Errorf("ml: forest partials not contiguous at tree %d", next)
 		}
-		if len(trees) > 0 && (p.nfeat != f.nfeat || !equalInts(p.classes, f.classes)) {
+		if p.nfeat != ordered[0].nfeat || !equalInts(p.classes, ordered[0].classes) {
 			return fmt.Errorf("ml: forest partials trained on different data shapes")
 		}
-		f.classes = p.classes
-		f.nfeat = p.nfeat
 		trees = append(trees, p.trees...)
 		next = p.hi
 	}
 	if next != f.NEstimators {
 		return fmt.Errorf("ml: forest partials cover %d of %d trees", next, f.NEstimators)
 	}
+	f.classes = ordered[0].classes
+	f.nfeat = ordered[0].nfeat
 	f.trees = trees
 	f.prep.Store(nil)
 	return nil

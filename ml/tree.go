@@ -19,7 +19,9 @@ import (
 // sorted and no node ever sorts or gathers. NaN sorts last and no
 // split falls between a finite value and NaN, so NaN rows always go
 // right, as PREDICT's x <= t sends them, and the fitted tree does not
-// depend on the input's row order.
+// depend on the input's row order. Each list entry carries an integer
+// weight, and every count, size and MinSamplesLeaf test is a weighted
+// sum; a plain tree weighs each row 1.
 type DecisionTree struct {
 	// MaxDepth bounds tree depth; 0 means unbounded.
 	MaxDepth int
@@ -68,12 +70,12 @@ func (t *DecisionTree) Fit(X [][]float64, y []int) error {
 	for f, col := range X {
 		lists[f] = sortedList(col, cls)
 	}
-	newTreeBuilder(lists, len(classes)).grow(t, classes)
+	newTreeBuilder(lists, len(y), len(classes)).grow(t, classes)
 	return nil
 }
 
 // validateTreeXY is validateXY plus the bound of the attribute lists'
-// int32 sample ids.
+// int32 row ids and weights.
 func validateTreeXY(X [][]float64, y []int) error {
 	n, err := validateXY(X, y)
 	if err == nil && n > math.MaxInt32 {
@@ -99,9 +101,10 @@ type valueRow struct {
 	r int32
 }
 
-// sortedList returns the attribute list of feature col over all rows:
-// ordered by value with NaN last, equal values by row. The order is
-// total, so it does not depend on the sort algorithm.
+// sortedList returns the attribute list of feature col over all rows,
+// each weighing 1: ordered by value with NaN last, equal values by
+// row. The order is total, so it does not depend on the sort
+// algorithm.
 func sortedList(col []float64, cls []int32) attrList {
 	pairs := make([]valueRow, len(col))
 	for i, v := range col {
@@ -115,7 +118,7 @@ func sortedList(col []float64, cls []int32) attrList {
 	})
 	l := newAttrList(len(col))
 	for i, p := range pairs {
-		l.row[i], l.val[i], l.cls[i] = p.r, p.v, cls[p.r]
+		l.row[i], l.val[i], l.cls[i], l.wt[i] = p.r, p.v, cls[p.r], 1
 	}
 	return l
 }
@@ -139,18 +142,25 @@ func compareNaNLast(a, b float64) int {
 	return 0
 }
 
-// attrList is one feature's attribute list: a sample id, the
-// feature's value and the class index per sample, as parallel arrays
-// sorted by value with NaN last. A plain tree's samples are its rows;
-// a forest tree's are its bootstrap draws.
+// attrList is one feature's attribute list: a row id, the feature's
+// value, the class index and a weight per entry, as parallel arrays
+// sorted by value with NaN last. Each row has at most one entry. A
+// plain tree lists every row with weight 1; a forest tree lists each
+// row its bootstrap drew, weighted by the number of draws.
 type attrList struct {
 	row []int32
 	val []float64
 	cls []int32
+	wt  []int32
 }
 
 func newAttrList(n int) attrList {
-	return attrList{row: make([]int32, n), val: make([]float64, n), cls: make([]int32, n)}
+	return attrList{row: make([]int32, n), val: make([]float64, n), cls: make([]int32, n), wt: make([]int32, n)}
+}
+
+// resize sets the list's length to n, within its capacity.
+func (l *attrList) resize(n int) {
+	l.row, l.val, l.cls, l.wt = l.row[:n], l.val[:n], l.cls[:n], l.wt[:n]
 }
 
 // treeBuilder grows trees over filled attribute lists. Its buffers are
@@ -158,7 +168,7 @@ func newAttrList(n int) attrList {
 type treeBuilder struct {
 	lists    []attrList
 	scratch  attrList // partition buffer for the right-going entries
-	goLeft   []bool   // per sample id: its side of the split being applied
+	goLeft   []bool   // per row id: its side of the split being applied
 	nclasses int
 	tree     *DecisionTree
 	minLeaf  int
@@ -168,14 +178,13 @@ type treeBuilder struct {
 	leftCounts, rightCounts []float64
 }
 
-// newTreeBuilder returns a builder over lists, which must all hold the
-// same number of samples.
-func newTreeBuilder(lists []attrList, nclasses int) *treeBuilder {
-	n := len(lists[0].row)
+// newTreeBuilder returns a builder over lists of rows [0, nrows),
+// which must all hold the same rows.
+func newTreeBuilder(lists []attrList, nrows, nclasses int) *treeBuilder {
 	return &treeBuilder{
 		lists:       lists,
-		scratch:     newAttrList(n),
-		goLeft:      make([]bool, n),
+		scratch:     newAttrList(nrows),
+		goLeft:      make([]bool, nrows),
 		nclasses:    nclasses,
 		featOrder:   make([]int, len(lists)),
 		leftCounts:  make([]float64, nclasses),
@@ -183,8 +192,8 @@ func newTreeBuilder(lists []attrList, nclasses int) *treeBuilder {
 	}
 }
 
-// grow fits t on the samples in the builder's lists. It consumes the
-// lists: partitioning leaves them sorted only within each node.
+// grow fits t on the weighted rows in the builder's lists. It consumes
+// the lists: partitioning leaves them sorted only within each node.
 func (b *treeBuilder) grow(t *DecisionTree, classes []int) {
 	t.classes = classes
 	t.nfeat = len(b.lists)
@@ -193,15 +202,16 @@ func (b *treeBuilder) grow(t *DecisionTree, classes []int) {
 	b.minLeaf = max(1, t.MinSamplesLeaf)
 	b.rng = newRNG(t.Seed + 1)
 	counts := make([]float64, b.nclasses)
-	for _, c := range b.lists[0].cls {
-		counts[c]++
+	l := &b.lists[0]
+	for i, c := range l.cls {
+		counts[c] += float64(l.wt[i])
 	}
-	b.build(0, len(b.goLeft), 0, counts)
+	b.build(0, len(l.row), 0, counts)
 }
 
-// isLeaf reports whether a node with these class counts, sample count
-// and depth stops growing.
-func (b *treeBuilder) isLeaf(counts []float64, size, depth int) bool {
+// isLeaf reports whether a node with these weighted class counts and
+// this depth stops growing.
+func (b *treeBuilder) isLeaf(counts []float64, depth int) bool {
 	present := 0
 	for _, c := range counts {
 		if c > 0 {
@@ -210,23 +220,35 @@ func (b *treeBuilder) isLeaf(counts []float64, size, depth int) bool {
 	}
 	return present <= 1 ||
 		(b.tree.MaxDepth > 0 && depth >= b.tree.MaxDepth) ||
-		size < 2*b.minLeaf
+		sum(counts) < float64(2*b.minLeaf)
 }
 
-// build grows the subtree over the samples in [lo, hi), whose class
-// counts are counts, and returns its node index. Nodes are emitted in
-// preorder: a node, its left subtree, then its right subtree.
+// sum returns a node's weighted size from its class counts. Weights
+// are integers, so the sum is exact in any order.
+func sum(counts []float64) float64 {
+	s := 0.0
+	for _, c := range counts {
+		s += c
+	}
+	return s
+}
+
+// build grows the subtree over the entries in [lo, hi), whose weighted
+// class counts are counts, and returns its node index. Nodes are
+// emitted in preorder: a node, its left subtree, then its right
+// subtree.
 func (b *treeBuilder) build(lo, hi, depth int, counts []float64) int32 {
 	nodeIdx := int32(len(b.tree.nodes))
 	b.tree.nodes = append(b.tree.nodes, treeNode{left: -1, right: -1})
-	if !b.isLeaf(counts, hi-lo, depth) {
+	if !b.isLeaf(counts, depth) {
 		if feat, thresh, ok := b.bestSplit(lo, hi, counts); ok {
 			lc, rc := make([]float64, b.nclasses), make([]float64, b.nclasses)
 			mid := b.mark(lo, hi, feat, thresh, lc, rc)
-			if mid-lo >= b.minLeaf && hi-mid >= b.minLeaf {
+			minLeaf := float64(b.minLeaf)
+			if sum(lc) >= minLeaf && sum(rc) >= minLeaf {
 				// Two leaf children read only their counts, so
 				// their ranges need no partitioning.
-				if !b.isLeaf(lc, mid-lo, depth+1) || !b.isLeaf(rc, hi-mid, depth+1) {
+				if !b.isLeaf(lc, depth+1) || !b.isLeaf(rc, depth+1) {
 					b.partition(lo, hi, feat)
 				}
 				l := b.build(lo, mid, depth+1, lc)
@@ -241,7 +263,7 @@ func (b *treeBuilder) build(lo, hi, depth int, counts []float64) int32 {
 		}
 	}
 	// Leaf: normalize counts into a class distribution.
-	total := float64(hi - lo)
+	total := sum(counts)
 	probs := make([]float64, b.nclasses)
 	for i, c := range counts {
 		probs[i] = c / total
@@ -253,9 +275,11 @@ func (b *treeBuilder) build(lo, hi, depth int, counts []float64) int32 {
 // bestSplit scans a (possibly random) subset of features for the
 // threshold minimizing weighted Gini impurity over [lo, hi). Each
 // feature's range is already sorted, so the scan walks it once,
-// moving one sample at a time from the right counts to the left. Only
-// boundaries between distinct adjacent values are candidates, and the
-// class counts there do not depend on how equal values are ordered.
+// moving one entry's weight at a time from the right counts to the
+// left. Only boundaries between distinct adjacent values are
+// candidates, and the class counts there do not depend on how equal
+// values are ordered, nor on whether a row drawn k times is k entries
+// of weight 1 or one entry of weight k.
 // NaN sorts last and the scan stops at the first NaN, so no boundary
 // separates a finite value from NaN.
 func (b *treeBuilder) bestSplit(lo, hi int, totalCounts []float64) (int, float64, bool) {
@@ -274,7 +298,8 @@ func (b *treeBuilder) bestSplit(lo, hi int, totalCounts []float64) (int, float64
 		}
 	}
 
-	n := float64(hi - lo)
+	n := sum(totalCounts)
+	minLeaf := float64(b.minLeaf)
 	bestGain := 1e-12
 	bestFeat, bestThresh := -1, 0.0
 	parentImp := giniImpurity(totalCounts, n)
@@ -282,16 +307,16 @@ func (b *treeBuilder) bestSplit(lo, hi int, totalCounts []float64) (int, float64
 
 	for fi := 0; fi < tryFeats; fi++ {
 		f := featOrder[fi]
-		vals := b.lists[f].val[lo:hi]
-		cls := b.lists[f].cls[lo:hi]
+		l := &b.lists[f]
+		vals, cls, wt := l.val[lo:hi], l.cls[lo:hi], l.wt[lo:hi]
 		copy(rightCounts, totalCounts)
 		clear(leftCounts)
 		nLeft := 0.0
 		for i := 0; i < len(vals)-1; i++ {
-			c := cls[i]
-			leftCounts[c]++
-			rightCounts[c]--
-			nLeft++
+			c, w := cls[i], float64(wt[i])
+			leftCounts[c] += w
+			rightCounts[c] -= w
+			nLeft += w
 			v, vNext := vals[i], vals[i+1]
 			if v == vNext {
 				continue // cannot split between equal values
@@ -300,7 +325,7 @@ func (b *treeBuilder) bestSplit(lo, hi int, totalCounts []float64) (int, float64
 				break // NaN sorts last; NaN rows always go right
 			}
 			nRight := n - nLeft
-			if int(nLeft) < b.minLeaf || int(nRight) < b.minLeaf {
+			if nLeft < minLeaf || nRight < minLeaf {
 				continue
 			}
 			imp := (nLeft*giniImpurity(leftCounts, nLeft) + nRight*giniImpurity(rightCounts, nRight)) / n
@@ -318,11 +343,11 @@ func (b *treeBuilder) bestSplit(lo, hi int, totalCounts []float64) (int, float64
 	return bestFeat, bestThresh, true
 }
 
-// mark records each sample's side of the split value <= thresh on
-// feat, accumulates the children's class counts into lc and rc, and
-// returns the end of the left child's range. The split feature's
+// mark records each row's side of the split value <= thresh on feat,
+// accumulates the children's weighted class counts into lc and rc,
+// and returns the end of the left child's range. The split feature's
 // range is sorted by the tested value with NaN last, so its left
-// samples form a prefix.
+// entries form a prefix.
 func (b *treeBuilder) mark(lo, hi, feat int, thresh float64, lc, rc []float64) int {
 	l := &b.lists[feat]
 	mid := lo
@@ -330,41 +355,47 @@ func (b *treeBuilder) mark(lo, hi, feat int, thresh float64, lc, rc []float64) i
 		left := l.val[i] <= thresh
 		b.goLeft[l.row[i]] = left
 		if left {
-			lc[l.cls[i]]++
+			lc[l.cls[i]] += float64(l.wt[i])
 			mid++
 		} else {
-			rc[l.cls[i]]++
+			rc[l.cls[i]] += float64(l.wt[i])
 		}
 	}
 	return mid
 }
 
-// partition stably moves every other feature's left-marked samples in
+// partition stably moves every other feature's left-marked entries in
 // [lo, hi) ahead of the right ones, through the scratch buffer, so
 // each child's range stays sorted. The split feature's range is
-// already partitioned (see mark).
+// already partitioned (see mark). Each entry is written to both sides
+// and only the cursor of its own side advances, so the loop has no
+// data-dependent branch to mispredict.
 func (b *treeBuilder) partition(lo, hi, feat int) {
-	sc := &b.scratch
 	goLeft := b.goLeft
+	n := hi - lo
+	srow, sval, scls, swt := b.scratch.row[:n], b.scratch.val[:n], b.scratch.cls[:n], b.scratch.wt[:n]
 	for f := range b.lists {
 		if f == feat {
 			continue
 		}
 		l := &b.lists[f]
-		rows, vals, cls := l.row[lo:hi], l.val[lo:hi], l.cls[lo:hi]
+		rows, vals, cls, wt := l.row[lo:hi], l.val[lo:hi], l.cls[lo:hi], l.wt[lo:hi]
 		nl, nr := 0, 0
 		for i, r := range rows {
+			v, c, w := vals[i], cls[i], wt[i]
+			rows[nl], vals[nl], cls[nl], wt[nl] = r, v, c, w
+			srow[nr], sval[nr], scls[nr], swt[nr] = r, v, c, w
+			left := 0
 			if goLeft[r] {
-				rows[nl], vals[nl], cls[nl] = r, vals[i], cls[i]
-				nl++
-			} else {
-				sc.row[nr], sc.val[nr], sc.cls[nr] = r, vals[i], cls[i]
-				nr++
+				left = 1
 			}
+			nl += left
+			nr += 1 - left
 		}
-		copy(rows[nl:], sc.row[:nr])
-		copy(vals[nl:], sc.val[:nr])
-		copy(cls[nl:], sc.cls[:nr])
+		copy(rows[nl:], srow[:nr])
+		copy(vals[nl:], sval[:nr])
+		copy(cls[nl:], scls[:nr])
+		copy(wt[nl:], swt[:nr])
 	}
 }
 
@@ -450,10 +481,3 @@ func (t *DecisionTree) Depth() int {
 
 // NumNodes returns the number of nodes in the fitted tree.
 func (t *DecisionTree) NumNodes() int { return len(t.nodes) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
